@@ -35,7 +35,6 @@ from .engines import (
     brute_force_p,
     brute_force_pl,
     estimate_table_bytes,
-    extend,
     sigma2,
 )
 from .framework import (
@@ -86,7 +85,6 @@ __all__ = [
     "digit_count",
     "estimate_table_bytes",
     "eval_constants",
-    "extend",
     "find_m_a_delta",
     "find_min_n",
     "frac_log",

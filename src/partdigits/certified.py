@@ -69,19 +69,6 @@ def interval_max(*xs):
     return iv.mpf([max(inf(v) for v in vals), max(sup(v) for v in vals)])
 
 
-def certainly_less(x, y) -> bool:
-    """True only if every point of x is < every point of y."""
-    return sup(x) < inf(y)
-
-
-def certainly_less_equal(x, y) -> bool:
-    return sup(x) <= inf(y)
-
-
-def certainly_greater_equal(x, y) -> bool:
-    return inf(x) >= sup(y)
-
-
 def membership_half_open(x, lo, hi) -> bool | None:
     """Decide x in [lo, hi) with certainty, else None.
 
@@ -112,8 +99,3 @@ def floor_inf(x) -> int:
 
 def ceil_sup(x) -> int:
     return int(mpmath.ceil(sup(x)))
-
-
-def is_zero_width(x) -> bool:
-    x = as_interval(x)
-    return x._mpi_[0] == x._mpi_[1]

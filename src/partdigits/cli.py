@@ -477,3 +477,7 @@ def _cmd_selftest(args) -> int:
             print(f"{'PASS' if ok else 'FAIL'}  {name}")
         print(f"all_pass {all_pass}")
     return EXIT_OK if all_pass else EXIT_FINDINGS
+
+
+if __name__ == "__main__":
+    main()

@@ -184,12 +184,16 @@ class SequenceTable:
         if n <= old:
             return
         self._charge((n - old) * _int_size(0))  # rough; entries are machine-sized
-        self._sigma2.extend([0] * (n - old))
-        for d in range(1, n + 1):
+        sig = self._sigma2
+        sig.extend([0] * (n - old))
+        # Divisor pairs d * q = m with d <= q, for m in (old, n] only: a
+        # chunk costs O(sqrt(n) + chunk * log n), not a pass over all of 1..n.
+        for d in range(1, isqrt(n) + 1):
             dd = d * d
-            start = (old // d + 1) * d
-            for m in range(start, n + 1, d):
-                self._sigma2[m] += dd
+            if dd > old:
+                sig[dd] += dd
+            for q in range(max(d + 1, old // d + 1), n // d + 1):
+                sig[d * q] += dd + q * q
 
     def extend(self, n: int) -> "SequenceTable":
         """Ensure the table covers 0..n; returns self."""
@@ -327,20 +331,6 @@ class SequenceTable:
             raise CacheFormatError(
                 f"corrupt cache: entry {n} fails its recurrence check"
             )
-
-
-def extend(
-    kind: SequenceKind,
-    n: int,
-    table: SequenceTable | None = None,
-    memory_budget: int | None = None,
-) -> SequenceTable:
-    """Table of the given kind covering 0..n (growing `table` if supplied)."""
-    if table is None:
-        table = SequenceTable(kind, memory_budget=memory_budget)
-    elif SequenceKind(kind) is not table.kind:
-        raise ValueError(f"table holds {table.kind.value}, requested {SequenceKind(kind).value}")
-    return table.extend(n)
 
 
 # Leading-order byte-cost model for the two tables: entry n of the p table

@@ -28,7 +28,6 @@ from .certified import (
     DEFAULT_PRECISION,
     as_interval,
     ceil_sup,
-    certainly_less_equal,
     floor_inf,
     frac_interval,
     inf,

@@ -2,9 +2,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import partdigits
 from partdigits.cli import (
     EXIT_FINDINGS,
     EXIT_OK,
@@ -144,12 +149,29 @@ def test_verify_text_and_csv(capsys):
 
 
 def test_verify_resource_exit(capsys):
+    # the scan to the last first hit (n = 19,885) needs about 1.6 MB of table
     code, out, err = _run(
-        capsys, "verify", "--kind", "p", "--base", "10", "--t", "2",
+        capsys, "verify", "--kind", "p", "--base", "10", "--t", "3",
         "--memory-budget", "1M",
     )
     assert code == EXIT_RESOURCE
     assert "resource error" in err
+
+
+@pytest.mark.parametrize(
+    "kind, base, t, max_n_min",
+    [("p", 10, 3, 19885), ("pl", 10, 2, 956), ("p", 2, 8, 670)],
+)
+def test_verify_within_default_budget(capsys, kind, base, t, max_n_min):
+    # a bound far beyond what fits in memory does not matter: the scan stops
+    # at the last first hit
+    code, out, _ = _run(
+        capsys, "verify", "--kind", kind, "--base", str(base), "--t", str(t)
+    )
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["max_n_min"] == max_n_min
+    assert payload["all_within_bound"] is True
 
 
 def test_census_json(capsys):
@@ -253,3 +275,17 @@ def test_selftest(capsys):
     assert code == EXIT_OK
     assert "all_pass True" in out
     assert out.count("PASS") == 8
+
+
+def test_module_entry_point():
+    env = dict(os.environ)
+    src = str(Path(partdigits.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-m", "partdigits.cli", "search", "--kind", "p", "--base", "10",
+         "--digits", "37"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    n_min = json.loads(done.stdout)["n_min"]
+    assert isinstance(n_min, int) and n_min == 28

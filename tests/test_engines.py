@@ -11,7 +11,6 @@ from partdigits import (
     brute_force_p,
     brute_force_pl,
     estimate_table_bytes,
-    extend,
     sigma2,
 )
 
@@ -85,6 +84,14 @@ def test_sigma2_against_sieve():
         assert sigma2(k) == sieve[k]
 
 
+def test_plane_table_sieve_grown_in_steps():
+    # each growth step sieves only the new block of sigma2 entries
+    table = SequenceTable(SequenceKind.PLANE_PARTITION)
+    for n in (1, 2, 3, 4, 9, 10, 48, 49, 50, 300, 301, 1000):
+        table.extend(n)
+        assert table._sigma2[1:] == [sigma2(k) for k in range(1, n + 1)], n
+
+
 def test_monotonicity(p_table, pl_table):
     for n in range(1, 2000):
         assert p_table[n + 1] > p_table[n]
@@ -103,13 +110,10 @@ def test_extension_determinism():
     assert stepped.last_index == 120 and stepped[120] == before
 
 
-def test_extend_helper_and_kind_guard():
-    table = extend(SequenceKind.PARTITION, 20)
+def test_table_extend_returns_self():
+    table = SequenceTable(SequenceKind.PARTITION).extend(20)
     assert table[20] == 627
-    table2 = extend("p", 25, table=table)
-    assert table2 is table and table[25] == 1958
-    with pytest.raises(ValueError):
-        extend(SequenceKind.PLANE_PARTITION, 5, table=table)
+    assert table.extend(25) is table and table[25] == 1958
 
 
 def test_index_and_arg_guards():

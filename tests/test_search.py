@@ -20,10 +20,10 @@ from partdigits import (
 )
 from partdigits.search import (
     CSV_FIELDS,
-    METHOD_CERTIFIED,
     METHOD_EXACT,
     report_dict,
     results_csv,
+    scan_heads,
     search_result_dict,
 )
 
@@ -81,10 +81,10 @@ def test_find_min_n_agrees_with_naive_oracle(p_table, pl_table):
 
 
 def test_method_field_reflects_decision_path(p_table):
-    # p(10) = 42 sits inside the window of "4": certified test decides
+    # the scan decides every value by exact head extraction, inside a
+    # window ("4": p(10) = 42) and on a window endpoint ("3": p(3) = 3)
     r4 = find_min_n(SequenceKind.PARTITION, DigitString.parse("4", 10), table=p_table)
-    assert r4.method == METHOD_CERTIFIED
-    # p(3) = 3 sits exactly on the window endpoint of "3": exact fallback
+    assert r4.method == METHOD_EXACT
     r3 = find_min_n(SequenceKind.PARTITION, DigitString.parse("3", 10), table=p_table)
     assert r3.method == METHOD_EXACT
 
@@ -126,6 +126,59 @@ def test_decide_membership_audit(p_table):
     assert checked > 400
 
 
+def _exact_heads(table, base, t, start, stop):
+    threshold = base ** (t - 1)
+    return [
+        (n, leading_digits(table[n], base, t).value)
+        for n in range(start, stop + 1)
+        if table[n] >= threshold
+    ]
+
+
+def _base_lengths():
+    for base in (2, 3, 10, 16):
+        for t in range(2 if base == 2 else 1, 5):
+            yield base, t
+
+
+def test_scan_heads_matches_exact_extraction(p_table, pl_table):
+    # the carried divisor gives the exact head at every index, and exactly
+    # the indices whose value has at least t digits
+    for table, stop in ((p_table, 5000), (pl_table, 1500)):
+        for base, t in _base_lengths():
+            scanned = list(scan_heads(table, base, t, 0, stop))
+            assert scanned == _exact_heads(table, base, t, 0, stop), (table.kind, base, t)
+
+
+def test_scan_heads_census_start_and_grown_table():
+    grown = SequenceTable(SequenceKind.PLANE_PARTITION).extend(300)
+    for base, t in _base_lengths():
+        assert list(scan_heads(grown, base, t, 1, 400)) == _exact_heads(grown, base, t, 1, 400)
+    assert grown.last_index == 400  # grown to `stop`, not past it
+
+
+def test_scan_heads_grows_only_as_far_as_consumed():
+    table = SequenceTable(SequenceKind.PARTITION)
+    scan = scan_heads(table, 10, 3, 0, 100_000)
+    assert next(n for n, head in scan if head == 727) == 521
+    assert table.last_index == 768  # three growth chunks, not the horizon or a doubling
+    scan.close()
+
+
+def test_scan_heads_recounts_after_a_decrease():
+    class Stub:
+        values = [1, 5000, 7, 123456, 12, 99, 100000, 3456]
+        last_index = len(values) - 1
+
+        def __getitem__(self, n):
+            return self.values[n]
+
+    for base, t in ((10, 1), (10, 2), (2, 3), (16, 2)):
+        assert list(scan_heads(Stub(), base, t, 0, Stub.last_index)) == _exact_heads(
+            Stub.values, base, t, 0, Stub.last_index
+        )
+
+
 def test_verify_theorem_partition(p_table):
     report = verify_theorem(SequenceKind.PARTITION, 10, 1, table=p_table)
     assert report.base == 10 and report.t == 1
@@ -164,7 +217,8 @@ def test_verify_theorem_budget_preflight():
     table = SequenceTable(SequenceKind.PLANE_PARTITION, memory_budget=10_000)
     with pytest.raises(ResourceLimitError):
         verify_theorem(SequenceKind.PLANE_PARTITION, 10, 1, table=table)
-    assert table.last_index == 0  # preflight rejected before any work
+    # the budget is charged entry by entry, so the table never exceeds it
+    assert table.estimated_bytes <= table.memory_budget
 
 
 def test_digit_census_small(p_table):
@@ -202,7 +256,7 @@ def test_search_result_serialization(p_table):
         "kind": "p",
         "n_min": 10,
         "value_digit_count": 2,
-        "method": METHOD_CERTIFIED,
+        "method": METHOD_EXACT,
         "bound": 5470,
         "within_bound": True,
     }
@@ -227,7 +281,7 @@ def test_results_csv_layout(p_table):
     text = results_csv([r])
     lines = text.splitlines()
     assert lines[0] == ",".join(CSV_FIELDS)
-    assert lines[1] == "4,10,5470,True,asymptotic-confirmed-exact"
+    assert lines[1] == "4,10,5470,True,exact"
     # a not-found result leaves the n_min cell empty
     missing = SearchResult(
         f=DigitString.parse("9", 10), kind=SequenceKind.PARTITION, n_min=None,
