@@ -34,7 +34,6 @@ from .engines import (
     SequenceTable,
     brute_force_p,
     brute_force_pl,
-    estimate_table_bytes,
     sigma2,
 )
 from .framework import (
@@ -83,7 +82,6 @@ __all__ = [
     "decide_membership",
     "digit_census",
     "digit_count",
-    "estimate_table_bytes",
     "eval_constants",
     "find_m_a_delta",
     "find_min_n",

@@ -10,7 +10,22 @@ plane partitions PL(n) from the divisor-power convolution
 
 with the division by n asserted exact (it is a theorem; a remainder means
 a bug, never something to round away).  Both recurrences are validated in
-the tests against brute-force enumeration oracles on small n.
+the tests against brute-force enumeration oracles on small n, and the
+PL engine against the per-n convolution up to n = 3000.
+
+The PL convolution is computed online, in blocks (a relaxed product in
+the sense of van der Hoeven, "Relax, but don't be too lazy", 2002): the
+terms with k < 256 are summed per n, and every other term comes from a
+block product of up to 512 values by 512 sigma2 entries, run once the
+block is complete, at the first n it contributes to.  A block product is
+one multiplication of two Kronecker-packed `decimal.Decimal`s, 10^W per
+slot (Harvey, "Faster polynomial multiplication via multipoint Kronecker
+substitution", 2009): libmpdec multiplies large operands with a
+number-theoretic transform, CPython's int with Karatsuba.  Its sums wait
+in a pending list of at most 1023 targets.  Building the PL table took
+0.14 s to n = 2e3, 1.6 s to 6e3 and 33 s to 2e4, against 0.27 s, 3.0 s
+and 56 s for the per-n convolution (CPython 3.11, 2-core x86 VM, one
+after the other).
 
 Tables grow lazily in chunks and account their memory against a byte
 budget; extension aborts with ResourceLimitError rather than thrash.
@@ -19,6 +34,7 @@ from __future__ import annotations
 
 import struct
 import sys
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from enum import Enum
 from itertools import islice
 from math import isqrt
@@ -32,6 +48,17 @@ BRUTE_FORCE_PL_MAX = 12
 
 _CACHE_MAGIC = b"PDTB"
 _CACHE_VERSION = 1
+
+# Blocked plane-partition convolution: terms sigma2(k) * PL(n-k) with
+# k < _LEAF are summed per n; the rest come from block products of length
+# _LEAF.._TILE.  _TILE bounds the pending lookahead (2*_TILE - 1 targets)
+# and the size of one product; both are powers of two, _LEAF <= _TILE.
+_LEAF = 256
+_TILE = 512
+
+# Exact for any operands: libmpdec sizes a product by its operands, and the
+# trap turns a rounding, which would be a bug, into an exception.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
 
 
 class SequenceKind(str, Enum):
@@ -128,6 +155,39 @@ def _int_size(v: int) -> int:
     return sys.getsizeof(v) + 8  # value plus its list slot
 
 
+def _convolve(sig: list[int], vals: list[int], n: int, terms: int) -> int:
+    """sum of sig[k] * vals[n - k] for k = 1..min(n, terms); vals holds at least 0..n-1.
+
+    With terms = n this is the whole plane-partition convolution for n, the
+    per-n oracle the blocked engine is tested against.
+    """
+    back = reversed(vals)
+    if len(vals) > n:
+        back = islice(back, len(vals) - n, None)
+    return sum(map(mul, islice(sig, 1, terms + 1), back))
+
+
+def _pack(values: list[int], width: int) -> Decimal:
+    """sum of values[i] * 10^(width*i), exactly; each value must be below 10^width.
+
+    Goes through Decimal(int), never str(int), so values longer than
+    sys.get_int_max_str_digits() pack as well.
+    """
+    return Decimal("".join([str(Decimal(v)).zfill(width) for v in reversed(values)]))
+
+
+def _unpack(packed: Decimal, width: int) -> list[int]:
+    """The base-10^width digits of a non-negative integral Decimal, least significant first.
+
+    Each digit goes through int(Decimal), not int(str), for the same reason.
+    """
+    digits = str(packed)
+    return [
+        int(Decimal(digits[max(end - width, 0) : end]))
+        for end in range(len(digits), 0, -width)
+    ]
+
+
 class SequenceTable:
     """Lazily extended exact table of p(n) or PL(n), n = 0..last_index."""
 
@@ -142,6 +202,13 @@ class SequenceTable:
         self._bytes = _int_size(1)
         self._sigma2: list[int] = [0]  # index 0 unused
         self._pent: list[tuple[int, int]] = []  # (offset, sign), ascending
+        # PL only: sums of the block products run so far, for targets
+        # _pending_from.. (None on a loaded table until it extends to a
+        # multiple of _LEAF).  Products run at multiples of _LEAF;
+        # _pending_from is the last of them.
+        self._pending: list[int] | None = []
+        self._pending_from = 0
+        self._pending_bytes = 0
 
     def __len__(self) -> int:
         return len(self._values)
@@ -224,11 +291,32 @@ class SequenceTable:
             vals.append(total)
 
     def _extend_plane(self, n: int) -> None:
-        self._grow_sigma2(n)
+        # Relaxed (online) convolution: PL(m) needs the terms with k < _LEAF
+        # summed here, plus the block products already run, which finish
+        # every term sigma2(k) * PL(m-k) with k >= _LEAF before m is reached.
+        # A loaded table has no pending sums: it sums all its terms per n up
+        # to its next multiple of _LEAF and rebuilds them there, so a short
+        # extension does not pay for the rebuild.
+        self._grow_sigma2(min(n, self.last_index + _LEAF))
         vals = self._values
         sig = self._sigma2
         for m in range(len(vals), n + 1):
-            acc = sum(map(mul, islice(sig, 1, m + 1), reversed(vals)))
+            if m % _LEAF == 0:
+                if self._pending is None:
+                    self._restore_pending()
+                if m > self._pending_from:
+                    self._grow_sigma2(m + _TILE - 1)
+                    self._set_pending(
+                        m,
+                        [(self._pending_from, self._pending), (m, self._block_products(m, m - 1))],
+                    )
+            if self._pending is None:
+                acc = _convolve(sig, vals, m, m)
+            else:
+                acc = _convolve(sig, vals, m, _LEAF - 1)
+                i = m - self._pending_from
+                if i < len(self._pending):
+                    acc += self._pending[i]
             q, r = divmod(acc, m)
             if r:
                 raise ArithmeticError(
@@ -236,6 +324,75 @@ class SequenceTable:
                 )
             self._charge(_int_size(q))
             vals.append(q)
+
+    def _block_products(self, m: int, beyond: int) -> list[int]:
+        """Coefficients, for targets m, m+1, ..., of the block products run at m.
+
+        At m, a multiple of _LEAF, the products are values[m-s:m] times
+        sigma2[s:2s] for each s = _LEAF, 2*_LEAF, ..., _TILE dividing m,
+        and, when _TILE divides m, the tiles values[m-k:m-k+_TILE] times
+        sigma2[k:k+_TILE] for k = 2*_TILE, 3*_TILE, ..., m.  Together with
+        the per-n terms k < _LEAF they cover every (j, k) exactly once.
+        Products whose last target is at most `beyond` are left out.  All
+        products are Kronecker-packed with one slot width and summed
+        before a single unpacking.
+        """
+        vals = self._values
+        sig = self._sigma2
+        blocks = []  # (first value, first sigma2 entry, length)
+        s = _LEAF
+        while s <= _TILE and m % s == 0:
+            if m + 2 * s - 2 > beyond:
+                blocks.append((m - s, s, s))
+            s *= 2
+        if m % _TILE == 0 and m + 2 * _TILE - 2 > beyond:
+            blocks.extend((m - k, k, _TILE) for k in range(2 * _TILE, m + 1, _TILE))
+        if not blocks:
+            return []
+        # A coefficient sums at most m terms, each below PL(m-1) * 2(m+_TILE)^2
+        # (PL is nondecreasing and sigma2(k) < zeta(2) k^2), so it is below
+        # 2^bits, and 10^width >= 2^bits because 0.30103 > log10(2).
+        bits = m.bit_length() + vals[m - 1].bit_length() + (2 * (m + _TILE) ** 2).bit_length()
+        width = bits * 30103 // 100000 + 1
+        total = Decimal(0)
+        for j, k, size in blocks:
+            packed = _pack(vals[j : j + size], width)
+            total = _EXACT.fma(packed, _pack(sig[k : k + size], width), total)
+        return _unpack(total, width)
+
+    def _set_pending(self, start: int, parts: list[tuple[int, list[int]]]) -> None:
+        """Make the pending sums those of `parts`, (first target, sums) pairs, from start on.
+
+        The new list is charged against the budget before it replaces the
+        old one, so a refusal leaves the table as it was.
+        """
+        merged: list[int] = []
+        for first, sums in parts:
+            off = first - start
+            if off < 0:
+                sums, off = sums[-off:], 0
+            merged.extend([0] * (off + len(sums) - len(merged)))
+            for i, v in enumerate(sums, off):
+                merged[i] += v
+        nbytes = sum(map(_int_size, merged))
+        self._charge(nbytes - self._pending_bytes)
+        self._pending, self._pending_from, self._pending_bytes = merged, start, nbytes
+
+    def _restore_pending(self) -> None:
+        """Rebuild the pending sums of a loaded table from its values.
+
+        The pending sums are a function of the values alone, so the cache
+        does not store them.
+
+        Only the products run at or before last_index that reach past it
+        are run again: those run at multiples of _LEAF above
+        last_index - 2*_TILE + 2.
+        """
+        n = self.last_index
+        last = n - n % _LEAF
+        self._grow_sigma2(last + _TILE - 1)
+        runs = range(last, max(n - 2 * _TILE + 2, 0), -_LEAF)
+        self._set_pending(last, [(m, self._block_products(m, n)) for m in runs])
 
     # -- cache ----------------------------------------------------------
 
@@ -304,6 +461,7 @@ class SequenceTable:
             raise CacheFormatError(f"{path}: entry 0 is {values[0]}, expected 1")
         table._values = values
         table._bytes = nbytes
+        table._pending = None
         table._verify_last_entry()
         return table
 
@@ -322,8 +480,7 @@ class SequenceTable:
             expected = total
         else:
             self._grow_sigma2(n)
-            acc = sum(map(mul, islice(self._sigma2, 1, n + 1), islice(reversed(vals), 1, None)))
-            q, r = divmod(acc, n)
+            q, r = divmod(_convolve(self._sigma2, vals, n, n), n)
             if r:
                 raise CacheFormatError(f"corrupt cache: convolution remainder at n = {n}")
             expected = q
@@ -331,20 +488,3 @@ class SequenceTable:
             raise CacheFormatError(
                 f"corrupt cache: entry {n} fails its recurrence check"
             )
-
-
-# Leading-order byte-cost model for the two tables: entry n of the p table
-# has ~3.71*sqrt(n) bits, entry n of the PL table ~2.90*n^(2/3) bits; the
-# constants below fold in per-int object overhead.
-def estimate_table_bytes(kind: SequenceKind, n: int) -> int:
-    """Rough a-priori memory estimate for a table covering 0..n."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    kind = SequenceKind(kind)
-    if kind is SequenceKind.PARTITION:
-        payload = 0.309 * (n + 1) ** 1.5
-        overhead = 36.0 * (n + 1)
-    else:
-        payload = 0.218 * (n + 1) ** (5.0 / 3.0)
-        overhead = 80.0 * (n + 1)  # includes the sigma2 sieve entries
-    return int(payload + overhead)

@@ -31,7 +31,7 @@ from .digits import (
     leading_digits,
     target_interval,
 )
-from .engines import SequenceKind, SequenceTable
+from .engines import ResourceLimitError, SequenceKind, SequenceTable
 from .framework import theorem_bound
 
 METHOD_EXACT = "exact"
@@ -99,6 +99,8 @@ def scan_heads(table: SequenceTable, base: int, t: int, start: int, stop: int):
     count, is carried forward and multiplied by b whenever the head
     outgrows t digits; p and PL never decrease, so it never shrinks.  A
     value smaller than the previous one gets its divisor from digit_count.
+    A chunk the memory budget cannot hold raises ResourceLimitError only
+    when it stops short of n: the entries that fit are scanned first.
     """
     threshold = base ** (t - 1)
     top = base**t
@@ -106,7 +108,11 @@ def scan_heads(table: SequenceTable, base: int, t: int, start: int, stop: int):
     prev = 0
     for n in range(start, stop + 1):
         if n > table.last_index:
-            table.extend(min(stop, max(n, table.last_index + _GROWTH_CHUNK)))
+            try:
+                table.extend(min(stop, max(n, table.last_index + _GROWTH_CHUNK)))
+            except ResourceLimitError:
+                if n > table.last_index:
+                    raise
         value = table[n]
         if value < threshold:
             continue

@@ -158,6 +158,18 @@ def test_verify_resource_exit(capsys):
     assert "resource error" in err
 
 
+def test_verify_budget_at_a_chunk_edge(capsys):
+    # enough for the scan to its last first hit, n = 19,885, but not for
+    # the rest of the 256-entry chunk that holds it
+    needed = partdigits.SequenceTable(partdigits.SequenceKind.PARTITION).extend(19885)
+    code, out, err = _run(
+        capsys, "verify", "--kind", "p", "--base", "10", "--t", "3",
+        "--memory-budget", str(needed.estimated_bytes + 1),
+    )
+    assert code == EXIT_OK, err
+    assert json.loads(out)["max_n_min"] == 19885
+
+
 @pytest.mark.parametrize(
     "kind, base, t, max_n_min",
     [("p", 10, 3, 19885), ("pl", 10, 2, 956), ("p", 2, 8, 670)],

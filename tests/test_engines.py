@@ -1,6 +1,9 @@
 """Exact-engine tests: recurrences vs enumeration oracles, growth, cache."""
 from __future__ import annotations
 
+import random
+import sys
+
 import pytest
 
 from partdigits import (
@@ -10,9 +13,11 @@ from partdigits import (
     SequenceTable,
     brute_force_p,
     brute_force_pl,
-    estimate_table_bytes,
     sigma2,
 )
+from partdigits.engines import _EXACT, _convolve, _pack, _unpack
+
+ORACLE_PL_MAX = 3000
 
 P_FIRST = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
 PL_FIRST = [1, 1, 3, 6, 13, 24, 48, 86, 160, 282, 500]
@@ -85,11 +90,73 @@ def test_sigma2_against_sieve():
 
 
 def test_plane_table_sieve_grown_in_steps():
-    # each growth step sieves only the new block of sigma2 entries
+    # each growth step sieves only the new block of sigma2 entries; the
+    # block products need the sieve ahead of n, so check all of it
     table = SequenceTable(SequenceKind.PLANE_PARTITION)
     for n in (1, 2, 3, 4, 9, 10, 48, 49, 50, 300, 301, 1000):
         table.extend(n)
-        assert table._sigma2[1:] == [sigma2(k) for k in range(1, n + 1)], n
+        sieve = table._sigma2
+        assert len(sieve) > n
+        assert sieve[1:] == [sigma2(k) for k in range(1, len(sieve))], n
+
+
+@pytest.fixture(scope="module")
+def pl_oracle() -> list[int]:
+    """PL(0..ORACLE_PL_MAX) by the per-n convolution over sigma2() values."""
+    sig = [0] + [sigma2(k) for k in range(1, ORACLE_PL_MAX + 1)]
+    vals = [1]
+    for n in range(1, ORACLE_PL_MAX + 1):
+        q, r = divmod(_convolve(sig, vals, n, n), n)
+        assert r == 0, n
+        vals.append(q)
+    return vals
+
+
+def test_plane_blocks_match_per_n_convolution(pl_oracle, tmp_path):
+    # irregular steps cross the per-n leaf (256), the block products at
+    # multiples of 256 and the tiles that start at 1024
+    table = SequenceTable(SequenceKind.PLANE_PARTITION)
+    for n in (1, 127, 128, 255, 256, 257, 511, 513, 1024, 1537, ORACLE_PL_MAX):
+        table.extend(n)
+        assert [table[m] for m in range(n + 1)] == pl_oracle[: n + 1], n
+    # a loaded table rebuilds its pending block sums from its values
+    for last in (200, 1023, 2049):
+        path = tmp_path / f"pl{last}.table"
+        SequenceTable(SequenceKind.PLANE_PARTITION).extend(last).save(path)
+        loaded = SequenceTable.load(path).extend(ORACLE_PL_MAX)
+        assert [loaded[m] for m in range(ORACLE_PL_MAX + 1)] == pl_oracle, last
+
+
+def test_plane_budget_refusal_keeps_state(pl_oracle):
+    # the block products run at n = 1024 are charged before PL(1024): a
+    # budget that refuses them, and one that holds them but not PL(1024),
+    # must both leave a table that extends correctly once the budget allows
+    whole = SequenceTable(SequenceKind.PLANE_PARTITION).extend(1024)
+    table = SequenceTable(SequenceKind.PLANE_PARTITION).extend(1023)
+    for budget in (table.estimated_bytes + 1, whole.estimated_bytes - 1):
+        table.memory_budget = budget
+        with pytest.raises(ResourceLimitError):
+            table.extend(1024)
+        assert table.last_index == 1023
+    table.memory_budget = whole.memory_budget
+    table.extend(ORACLE_PL_MAX)
+    assert [table[m] for m in range(ORACLE_PL_MAX + 1)] == pl_oracle
+
+
+def test_pack_unpack_beyond_str_digit_limit():
+    # slots wider than the int <-> str limit (4300 digits by default)
+    limit = sys.get_int_max_str_digits()
+    width = 5200
+    rng = random.Random(5)
+    a = [rng.getrandbits(16_000) for _ in range(3)]  # about 4800 digits each
+    b = [rng.getrandbits(40) for _ in range(3)]
+    assert _unpack(_pack(a, width), width) == a
+    product = _unpack(_EXACT.multiply(_pack(a, width), _pack(b, width)), width)
+    assert product == [
+        sum(a[i] * b[t - i] for i in range(len(a)) if 0 <= t - i < len(b))
+        for t in range(len(a) + len(b) - 1)
+    ]
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_monotonicity(p_table, pl_table):
@@ -134,21 +201,6 @@ def test_memory_budget_aborts_extension():
         table.extend(10_000)
     # the failed extension leaves a consistent prefix
     assert table[table.last_index] > 0
-
-
-def test_estimate_tracks_actual_usage(p_table, pl_table):
-    # the a-priori model should sit within a modest band of reality
-    for kind, table, n in (
-        (SequenceKind.PARTITION, p_table, 50_000),
-        (SequenceKind.PLANE_PARTITION, pl_table, 20_000),
-    ):
-        est = estimate_table_bytes(kind, n)
-        assert 0.6 * table.estimated_bytes <= est <= 1.7 * table.estimated_bytes
-    small = SequenceTable(SequenceKind.PARTITION).extend(1000)
-    est = estimate_table_bytes(SequenceKind.PARTITION, 1000)
-    assert 0.6 * small.estimated_bytes <= est <= 1.7 * small.estimated_bytes
-    with pytest.raises(ValueError):
-        estimate_table_bytes(SequenceKind.PARTITION, -1)
 
 
 def test_cache_round_trip(tmp_path):
