@@ -14,11 +14,12 @@ mp.dps = 60
 def main() -> None:
     zeta3 = mp.zeta(3)
     zeta_prime_minus_one = mp.zeta(-1, derivative=1)
+    # Wright's constant B of PL(n) ~ B n^(-25/36) exp(3 (zeta(3)/4)^(1/3) n^(2/3))
     pl_prefactor = (
-        mp.power(2, mp.mpf(25) / 26)
+        zeta3 ** (mp.mpf(7) / 36)
         * mp.e**zeta_prime_minus_one
-        * zeta3 ** (mp.mpf(7) / 26)
-        / mp.sqrt(12 * mp.pi)
+        * mp.power(2, -mp.mpf(11) / 36)
+        / mp.sqrt(3 * mp.pi)
     )
     for name, value in (
         ("ZETA3", zeta3),

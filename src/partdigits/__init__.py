@@ -11,7 +11,8 @@ from .asymptotics import (
     Constants,
     LogEstimate,
     eval_constants,
-    hardy_ramanujan_mu,
+    instantiate_p,
+    instantiate_pl,
     log_p_estimate,
     log_pl_estimate,
 )
@@ -42,8 +43,6 @@ from .framework import (
     UndecidableMembershipError,
     compute_bounds,
     find_m_a_delta,
-    instantiate_p,
-    instantiate_pl,
     main_term,
     theorem_bound,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "find_m_a_delta",
     "find_min_n",
     "frac_log",
-    "hardy_ramanujan_mu",
     "instantiate_p",
     "instantiate_pl",
     "leading_digits",

@@ -1,15 +1,20 @@
-"""Certified asymptotic estimates of log p(n) and log PL(n).
+"""Growth-model coefficients of log_b p(n) and log_b PL(n), and the certified
+log estimates derived from them.
 
-Each estimate returns a midpoint and an error envelope, both as certified
-intervals: the true value of log_b of the counting function is guaranteed
-to lie within `envelope` of `midpoint` whenever n >= valid_from.
+Both counting functions fit the framework's model g(n) = c1*n^theta +
+c2*log n + c3 + E(n) with |E(n)| <= c4*n^(-theta) for n >= K:
 
-    log_b p(n)  ~ (pi*sqrt(24)/6) sqrt(n)/ln b - ln n/ln b + log_b(sqrt(3)/12),
-                  envelope 4/(sqrt(n) ln b),              valid for n >= 4;
-    log_b PL(n) ~ 3 (z3/4)^(1/3) n^(2/3)/ln b - (25/36) ln n/ln b + log_b B,
-                  envelope 200/(n^(2/3) ln b),            valid for n >= 2829,
+    log_b p(n):  c1 = (pi*sqrt(24)/6)/ln b, c2 = -1/ln b, c3 = log_b(sqrt(3)/12),
+                 c4 = 4/ln b,   theta = 1/2, K = 4;
+    log_b PL(n): c1 = 3 (z3/4)^(1/3)/ln b, c2 = -(25/36)/ln b, c3 = log_b B,
+                 c4 = 200/ln b, theta = 2/3, K = 2829,
 
-where z3 = zeta(3) and B = 2^(25/26) e^(zeta'(-1)) z3^(7/26) / sqrt(12 pi).
+where z3 = zeta(3) and B = z3^(7/36) e^(zeta'(-1)) 2^(-11/36) (3 pi)^(-1/2)
+is Wright's constant.  `instantiate_p` and `instantiate_pl` are the one
+place these coefficients are written.  An estimate is derived from them:
+its midpoint is the model's main term and its envelope c4*n^(-theta), both
+certified intervals, so log_b of the count is guaranteed to lie within
+`envelope` of `midpoint` whenever n >= valid_from = K.
 """
 from __future__ import annotations
 
@@ -26,6 +31,8 @@ from .certified import (
     sup,
     working_precision,
 )
+from .engines import SequenceKind
+from .framework import FrameworkParams, main_term
 
 MIN_CONSTANT_PRECISION = 128
 
@@ -70,7 +77,7 @@ _CONSTANTS_CACHE: dict[int, Constants] = {}
 
 
 def eval_constants(precision: int = DEFAULT_PRECISION) -> Constants:
-    """Enclosures of zeta(3), zeta'(-1), and the PL prefactor at >= 128 bits."""
+    """Enclosures of zeta(3), zeta'(-1), and the PL prefactor B at >= 128 bits."""
     if precision < MIN_CONSTANT_PRECISION:
         raise ValueError(
             f"constants need at least {MIN_CONSTANT_PRECISION} bits, got {precision}"
@@ -85,10 +92,10 @@ def eval_constants(precision: int = DEFAULT_PRECISION) -> Constants:
         # by the interval context.
         zp = iv.mpf(1) / 12 - iv.log(+iv.glaisher)
         b = (
-            iv.mpf(2) ** (iv.mpf(25) / 26)
+            zeta3 ** (iv.mpf(7) / 36)
             * iv.exp(zp)
-            * zeta3 ** (iv.mpf(7) / 26)
-            / iv.sqrt(12 * iv.pi)
+            * iv.mpf(2) ** (-iv.mpf(11) / 36)
+            / iv.sqrt(3 * iv.pi)
         )
         consts = Constants(
             zeta3=zeta3, zeta_prime_minus_one=zp, pl_prefactor=b, precision=precision
@@ -97,12 +104,52 @@ def eval_constants(precision: int = DEFAULT_PRECISION) -> Constants:
     return consts
 
 
-def hardy_ramanujan_mu(n: int, precision: int | None = None):
-    """Enclosure of (pi/6) sqrt(24 n - 1), the exponent scale of p(n)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    with working_precision(precision or DEFAULT_PRECISION):
-        return iv.pi / 6 * iv.sqrt(iv.mpf(24 * n - 1))
+_PARAMS_CACHE: dict[tuple[SequenceKind, int, int], FrameworkParams] = {}
+
+
+def _instantiate(kind: SequenceKind, base: int, precision: int | None) -> FrameworkParams:
+    """Growth-model coefficients of log_b of `kind`, cached per (kind, base,
+    precision); every caller shares the returned object."""
+    if base < 2:
+        raise ValueError(f"base must be >= 2, got {base}")
+    prec = precision or DEFAULT_PRECISION
+    key = (kind, base, prec)
+    cached = _PARAMS_CACHE.get(key)
+    if cached is not None:
+        return cached
+    with working_precision(prec):
+        lb = iv.log(iv.mpf(base))
+        if kind is SequenceKind.PARTITION:
+            params = FrameworkParams(
+                c1=iv.pi * iv.sqrt(iv.mpf(24)) / 6 / lb,
+                c2=-1 / lb,
+                c3=iv.log(iv.sqrt(iv.mpf(3)) / 12) / lb,
+                c4=4 / lb,
+                theta=iv.mpf(1) / 2,
+                K=P_VALID_FROM,
+            )
+        else:
+            constants = eval_constants(max(prec, MIN_CONSTANT_PRECISION))
+            params = FrameworkParams(
+                c1=3 * (constants.zeta3 / 4) ** (iv.mpf(1) / 3) / lb,
+                c2=-iv.mpf(25) / 36 / lb,
+                c3=iv.log(constants.pl_prefactor) / lb,
+                c4=200 / lb,
+                theta=iv.mpf(2) / 3,
+                K=PL_VALID_FROM,
+            )
+    _PARAMS_CACHE[key] = params
+    return params
+
+
+def instantiate_p(base: int, precision: int | None = None) -> FrameworkParams:
+    """Growth-model coefficients of log_b p(n) (valid from K = 4)."""
+    return _instantiate(SequenceKind.PARTITION, base, precision)
+
+
+def instantiate_pl(base: int, precision: int | None = None) -> FrameworkParams:
+    """Growth-model coefficients of log_b PL(n) (valid from K = 2829)."""
+    return _instantiate(SequenceKind.PLANE_PARTITION, base, precision)
 
 
 @dataclass(eq=False)
@@ -127,51 +174,25 @@ class LogEstimate:
         return worst <= inf(self.envelope)
 
 
+def _estimate(kind: SequenceKind, n: int, base: int, precision: int | None) -> LogEstimate:
+    params = _instantiate(kind, base, precision)
+    if n < params.K:
+        raise ValueError(f"estimate valid for n >= {params.K}, got {n}")
+    with working_precision(precision or DEFAULT_PRECISION):
+        return LogEstimate(
+            n=n,
+            base=base,
+            midpoint=main_term(params, n),
+            envelope=params.c4 * iv.mpf(n) ** -params.theta,
+            valid_from=params.K,
+        )
+
+
 def log_p_estimate(n: int, base: int, precision: int | None = None) -> LogEstimate:
     """Midpoint and envelope for log_b p(n), valid for n >= 4."""
-    if n < P_VALID_FROM:
-        raise ValueError(f"estimate valid for n >= {P_VALID_FROM}, got {n}")
-    if base < 2:
-        raise ValueError(f"base must be >= 2, got {base}")
-    with working_precision(precision or DEFAULT_PRECISION):
-        nn = iv.mpf(n)
-        lb = iv.log(iv.mpf(base))
-        root = iv.sqrt(nn)
-        mid = (
-            iv.pi * iv.sqrt(iv.mpf(24)) / 6 * root / lb
-            - iv.log(nn) / lb
-            + iv.log(iv.sqrt(iv.mpf(3)) / 12) / lb
-        )
-        env = iv.mpf(4) / (root * lb)
-        return LogEstimate(
-            n=n, base=base, midpoint=mid, envelope=env, valid_from=P_VALID_FROM
-        )
+    return _estimate(SequenceKind.PARTITION, n, base, precision)
 
 
-def log_pl_estimate(
-    n: int,
-    base: int,
-    precision: int | None = None,
-    constants: Constants | None = None,
-) -> LogEstimate:
+def log_pl_estimate(n: int, base: int, precision: int | None = None) -> LogEstimate:
     """Midpoint and envelope for log_b PL(n), valid for n >= 2829."""
-    if n < PL_VALID_FROM:
-        raise ValueError(f"estimate valid for n >= {PL_VALID_FROM}, got {n}")
-    if base < 2:
-        raise ValueError(f"base must be >= 2, got {base}")
-    prec = precision or DEFAULT_PRECISION
-    if constants is None:
-        constants = eval_constants(max(prec, MIN_CONSTANT_PRECISION))
-    with working_precision(prec):
-        nn = iv.mpf(n)
-        lb = iv.log(iv.mpf(base))
-        pow23 = nn ** (iv.mpf(2) / 3)
-        mid = (
-            3 * (constants.zeta3 / 4) ** (iv.mpf(1) / 3) * pow23 / lb
-            - iv.mpf(25) / 36 * iv.log(nn) / lb
-            + iv.log(constants.pl_prefactor) / lb
-        )
-        env = iv.mpf(200) / (pow23 * lb)
-        return LogEstimate(
-            n=n, base=base, midpoint=mid, envelope=env, valid_from=PL_VALID_FROM
-        )
+    return _estimate(SequenceKind.PLANE_PARTITION, n, base, precision)

@@ -8,13 +8,14 @@ import json
 import os
 import random
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 from mpmath import iv
 
-from .asymptotics import log_p_estimate, log_pl_estimate
+from .asymptotics import instantiate_p, instantiate_pl, log_p_estimate, log_pl_estimate
 from .certified import (
     DEFAULT_PRECISION,
     as_interval,
@@ -33,13 +34,7 @@ from .engines import (
     brute_force_pl,
     sigma2,
 )
-from .framework import (
-    compute_bounds,
-    find_m_a_delta,
-    instantiate_p,
-    instantiate_pl,
-    theorem_bound,
-)
+from .framework import compute_bounds, find_m_a_delta, theorem_bound
 from .search import (
     decide_membership,
     digit_census,
@@ -198,9 +193,16 @@ def _load_table(args, kind: SequenceKind) -> tuple[SequenceTable, Path | None, i
 def _save_table(table: SequenceTable, path: Path | None, loaded_last: int) -> None:
     if path is None or table.last_index <= loaded_last:
         return
-    tmp = path.with_name(path.name + ".tmp")
-    table.save(tmp)
-    os.replace(tmp, path)
+    # A temp file of its own per writer, so runs saving at once never mix
+    # their bytes; the rename makes the last complete write win.
+    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    os.close(fd)
+    try:
+        table.save(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # -- rendering ------------------------------------------------------------

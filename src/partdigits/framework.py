@@ -118,45 +118,6 @@ def compute_bounds(
         return FrameworkBounds(L1=l1, L2=l2, L3=l3, L4=l4, D=big_d, bound=bound)
 
 
-def instantiate_p(base: int, precision: int | None = None) -> FrameworkParams:
-    """Growth-model coefficients of log_b p(n) (valid from K = 4)."""
-    if base < 2:
-        raise ValueError(f"base must be >= 2, got {base}")
-    with working_precision(precision or DEFAULT_PRECISION):
-        lb = iv.log(iv.mpf(base))
-        return FrameworkParams(
-            c1=iv.pi * iv.sqrt(iv.mpf(24)) / 6 / lb,
-            c2=-1 / lb,
-            c3=iv.log(iv.sqrt(iv.mpf(3)) / 12) / lb,
-            c4=4 / lb,
-            theta=iv.mpf(1) / 2,
-            K=4,
-        )
-
-
-def instantiate_pl(
-    base: int, precision: int | None = None, constants=None
-) -> FrameworkParams:
-    """Growth-model coefficients of log_b PL(n) (valid from K = 2829)."""
-    from .asymptotics import MIN_CONSTANT_PRECISION, eval_constants
-
-    if base < 2:
-        raise ValueError(f"base must be >= 2, got {base}")
-    prec = precision or DEFAULT_PRECISION
-    if constants is None:
-        constants = eval_constants(max(prec, MIN_CONSTANT_PRECISION))
-    with working_precision(prec):
-        lb = iv.log(iv.mpf(base))
-        return FrameworkParams(
-            c1=3 * (constants.zeta3 / 4) ** (iv.mpf(1) / 3) / lb,
-            c2=-iv.mpf(25) / 36 / lb,
-            c3=iv.log(constants.pl_prefactor) / lb,
-            c4=200 / lb,
-            theta=iv.mpf(2) / 3,
-            K=2829,
-        )
-
-
 def main_term(params: FrameworkParams, n: int):
     """Enclosure of c1*n^theta + c2*log n + c3 (the model without noise)."""
     if n < 1:

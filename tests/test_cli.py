@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import partdigits
+from partdigits import SequenceKind, SequenceTable
 from partdigits.cli import (
     EXIT_FINDINGS,
     EXIT_OK,
@@ -17,6 +18,7 @@ from partdigits.cli import (
     EXIT_USAGE,
     ENV_CACHE_DIR,
     _parse_bytes,
+    _save_table,
     run,
 )
 
@@ -280,6 +282,30 @@ def test_cache_corruption_is_reported(tmp_path, capsys):
     stored.write_bytes(b"JUNK" + stored.read_bytes()[4:])
     code, _, err = _run(capsys, *argv)
     assert code == EXIT_USAGE and "bad magic" in err
+
+
+def test_concurrent_saves_use_their_own_temp_files(tmp_path, monkeypatch):
+    # A second run saves the cache while the first is between writing its
+    # temp file and renaming it into place.
+    path = tmp_path / "p.table"
+    first = SequenceTable(SequenceKind.PARTITION).extend(300)
+    second = SequenceTable(SequenceKind.PARTITION).extend(200)
+    original_save = SequenceTable.save
+    temps = []
+
+    def save(self, target):
+        temps.append(Path(target))
+        original_save(self, target)
+        if self is first:
+            _save_table(second, path, -1)
+
+    monkeypatch.setattr(SequenceTable, "save", save)
+    _save_table(first, path, -1)
+    assert len(set(temps)) == 2
+    assert all(t.parent == tmp_path for t in temps)
+    assert os.listdir(tmp_path) == ["p.table"]
+    monkeypatch.undo()
+    assert SequenceTable.load(path).last_index == 300
 
 
 def test_selftest(capsys):
