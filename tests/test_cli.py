@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -284,6 +285,35 @@ def test_cache_corruption_is_reported(tmp_path, capsys):
     assert code == EXIT_USAGE and "bad magic" in err
 
 
+def test_cache_version_1_is_refused(tmp_path, capsys):
+    cache = tmp_path / "tables"
+    cache.mkdir()
+    # a version 1 file: header, then (length, payload) per entry, no digest
+    blob = struct.pack("<4sHBBQ", b"PDTB", 1, 1, 0, 3)
+    for v in (1, 1, 2):
+        blob += struct.pack("<I", 1) + bytes([v])
+    (cache / "p.table").write_bytes(blob)
+    code, _, err = _run(
+        capsys, "search", "--kind", "p", "--base", "10", "--digits", "7", "--cache", str(cache)
+    )
+    assert code == EXIT_USAGE
+    assert "unsupported version 1" in err and "delete the file" in err
+
+
+def test_cached_verify_leaves_the_cache_alone(tmp_path, capsys):
+    # a verify inside a 24,000-entry cache reads a prefix and writes nothing
+    cache = tmp_path / "tables"
+    cache.mkdir()
+    stored = cache / "p.table"
+    SequenceTable(SequenceKind.PARTITION).extend(24000).save(stored)
+    before = (stored.stat().st_size, stored.stat().st_mtime_ns)
+    argv = ("verify", "--kind", "p", "--base", "10", "--t", "2")
+    code, cached, err = _run(capsys, *argv, "--cache", str(cache))
+    assert code == EXIT_OK, err
+    assert (stored.stat().st_size, stored.stat().st_mtime_ns) == before
+    assert json.loads(cached)["results"] == json.loads(_run(capsys, *argv)[1])["results"]
+
+
 def test_concurrent_saves_use_their_own_temp_files(tmp_path, monkeypatch):
     # A second run saves the cache while the first is between writing its
     # temp file and renaming it into place.
@@ -315,10 +345,15 @@ def test_selftest(capsys):
     assert out.count("PASS") == 8
 
 
-def test_module_entry_point():
+def _src_env():
     env = dict(os.environ)
     src = str(Path(partdigits.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
+def test_module_entry_point():
+    env = _src_env()
     done = subprocess.run(
         [sys.executable, "-m", "partdigits.cli", "search", "--kind", "p", "--base", "10",
          "--digits", "37"],
@@ -327,3 +362,13 @@ def test_module_entry_point():
     assert done.returncode == EXIT_OK, done.stderr
     n_min = json.loads(done.stdout)["n_min"]
     assert isinstance(n_min, int) and n_min == 28
+
+
+def test_import_does_not_load_the_cache_modules():
+    # the cache imports hashlib and array when it saves or loads, not at import time
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, partdigits; assert not {'hashlib', 'array'} & set(sys.modules)"],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import struct
 import sys
 
 import pytest
@@ -242,7 +243,7 @@ def test_cache_rejects_corruption(tmp_path):
         SequenceTable.load(tmp_path / "t.table")
 
     tampered = bytearray(raw)
-    tampered[-1] ^= 0x01  # flip a bit in the last entry's payload
+    tampered[-1] ^= 0x01  # flip a bit in the digest trailer
     (tmp_path / "x.table").write_bytes(tampered)
     with pytest.raises(CacheFormatError):
         SequenceTable.load(tmp_path / "x.table")
@@ -257,3 +258,107 @@ def test_cache_budget_enforced_on_load(tmp_path):
     SequenceTable(SequenceKind.PARTITION).extend(500).save(path)
     with pytest.raises(ResourceLimitError):
         SequenceTable.load(path, memory_budget=1024)
+
+
+# Cache format version 2: magic, version, kind, reserved, entry count and
+# the entries' estimated bytes; a uint32 length per entry; the records;
+# the SHA-256 digest of everything before it.
+V2_HEADER = "<4sHBBQQ"
+
+
+def _record_span(raw: bytes, n: int) -> tuple[int, int]:
+    """Start and end, in a version 2 cache file, of entry n's record."""
+    header = struct.calcsize(V2_HEADER)
+    count = struct.unpack_from(V2_HEADER, raw)[4]
+    lengths = struct.unpack_from(f"<{count}I", raw, header)
+    start = header + 4 * count + sum(lengths[:n])
+    return start, start + lengths[n]
+
+
+@pytest.mark.parametrize("kind, count", [("p", 500), ("pl", 300)])
+def test_cache_refuses_a_flipped_bit_in_the_middle(tmp_path, kind, count):
+    path = tmp_path / f"{kind}.table"
+    SequenceTable(SequenceKind(kind)).extend(count - 1).save(path)
+    raw = bytearray(path.read_bytes())
+    start, end = _record_span(raw, count // 2)
+    assert end > start
+    raw[start] ^= 0x04
+    path.write_bytes(raw)
+    with pytest.raises(CacheFormatError):
+        SequenceTable.load(path)
+
+
+def test_cache_refuses_version_1(tmp_path):
+    # the unchecked format before digests: header, then (length, payload) per entry
+    values = [1, 1, 2, 3, 5]
+    blob = struct.pack("<4sHBBQ", b"PDTB", 1, 1, 0, len(values))
+    for v in values:
+        blob += struct.pack("<I", 1) + v.to_bytes(1, "little")
+    path = tmp_path / "p.table"
+    path.write_bytes(blob)
+    with pytest.raises(CacheFormatError, match="version 1.*delete the file"):
+        SequenceTable.load(path)
+
+
+def test_loaded_table_parses_entries_on_first_use(tmp_path):
+    path = tmp_path / "p.table"
+    table = SequenceTable(SequenceKind.PARTITION).extend(3000)
+    table.save(path)
+    loaded = SequenceTable.load(path)
+    assert loaded.last_index == 3000 and len(loaded) == 3001
+    assert all(v is None for v in loaded._values)  # nothing parsed yet
+    assert loaded[2500] == table[2500]
+    assert loaded._values.count(None) == 2048  # only the chunk 2048..3000 parsed
+    assert [loaded[n] for n in range(3001)] == [table[n] for n in range(3001)]
+
+
+def test_load_then_save_is_byte_identical(tmp_path):
+    for kind, last in (("p", 3000), ("pl", 300)):
+        path = tmp_path / f"{kind}.table"
+        SequenceTable(SequenceKind(kind)).extend(last).save(path)
+        SequenceTable.load(path).save(tmp_path / "copy")
+        assert (tmp_path / "copy").read_bytes() == path.read_bytes(), kind
+    # one chunk parsed before the save, the others by it
+    loaded = SequenceTable.load(tmp_path / "p.table")
+    loaded[1500]
+    loaded.save(tmp_path / "copy")
+    assert (tmp_path / "copy").read_bytes() == (tmp_path / "p.table").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "kind, lasts", [("p", (1, 700, 3000)), ("pl", (200, 1023, 2049))], ids=["p", "pl"]
+)
+def test_loaded_table_extends_like_a_fresh_one(tmp_path, kind, lasts):
+    stop = max(lasts) + 600
+    fresh = SequenceTable(SequenceKind(kind)).extend(stop)
+    for last in lasts:
+        path = tmp_path / f"{kind}{last}.table"
+        SequenceTable(SequenceKind(kind)).extend(last).save(path)
+        loaded = SequenceTable.load(path)
+        loaded[last // 2]  # a chunk parsed before the extension, the rest by it
+        loaded.extend(stop)
+        assert [loaded[n] for n in range(stop + 1)] == [fresh[n] for n in range(stop + 1)], last
+        if kind == "p":
+            assert loaded.estimated_bytes == fresh.estimated_bytes, last
+
+
+def test_loaded_budget_is_exact_and_charged_up_front(tmp_path):
+    # the header stores the entries' estimated bytes, without the sieve and
+    # pending sums that a pl table is charged for next to them
+    pl = SequenceTable(SequenceKind.PLANE_PARTITION).extend(1100)
+    pl.save(tmp_path / "pl")
+    pl_entries = sum(sys.getsizeof(pl[n]) + 8 for n in range(1101))
+    assert struct.unpack_from(V2_HEADER, (tmp_path / "pl").read_bytes())[5] == pl_entries
+    path = tmp_path / "p"
+    table = SequenceTable(SequenceKind.PARTITION).extend(2500)
+    table.save(path)
+    entries = sum(sys.getsizeof(table[n]) + 8 for n in range(2501))
+    assert struct.unpack_from(V2_HEADER, path.read_bytes())[5] == entries
+    assert SequenceTable.load(path).estimated_bytes == entries
+    with pytest.raises(ResourceLimitError):
+        SequenceTable.load(path, memory_budget=entries - 1)
+    # a budget that holds the entries exactly: reading them refuses nothing
+    loaded = SequenceTable.load(path, memory_budget=entries)
+    assert [loaded[n] for n in range(2501)] == [table[n] for n in range(2501)]
+    assert loaded.estimated_bytes == entries
+
