@@ -3,13 +3,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import random
 import sys
 import tempfile
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import mpmath
@@ -36,12 +36,11 @@ from .engines import (
 )
 from .framework import compute_bounds, find_m_a_delta, theorem_bound
 from .search import (
+    SearchResult,
+    VerificationReport,
     decide_membership,
     digit_census,
     find_min_n,
-    report_dict,
-    results_csv,
-    search_result_dict,
     verify_theorem,
 )
 
@@ -207,22 +206,60 @@ def _save_table(table: SequenceTable, path: Path | None, loaded_last: int) -> No
 
 # -- rendering ------------------------------------------------------------
 
+RESULT_FIELDS = ("f", "n_min", "bound", "within_bound", "method")
+
+
 def _fmt(x, digits: int = 25) -> str:
     """Deterministic decimal rendering of a certified value's midpoint."""
     mid = (inf(x) + sup(x)) / 2
     return mpmath.nstr(mid, digits)
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2))
+def _result_dict(r: SearchResult) -> dict:
+    return {
+        "f": r.f.text(),
+        "kind": r.kind.value,
+        "n_min": r.n_min,
+        "value_digit_count": r.value_digit_count,
+        "method": r.method,
+        "bound": r.bound,
+        "within_bound": r.within_bound,
+    }
 
 
-def _emit_csv_rows(header, rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
+def _result_row(r: SearchResult) -> tuple:
+    return (r.f.text(), "" if r.n_min is None else r.n_min, r.bound, r.within_bound, r.method)
+
+
+def _report_dict(report: VerificationReport) -> dict:
+    # runtime_seconds and table_entries stay off the wire, so identical
+    # configs emit byte-identical JSON, with or without a cache; the text
+    # rendering shows both.
+    return {
+        "kind": report.kind.value,
+        "b": report.base,
+        "t": report.t,
+        "results": [_result_dict(r) for r in report.results],
+        "max_n_min": report.max_n_min,
+        "all_within_bound": report.all_within_bound,
+    }
+
+
+def _emit(output: str, payload, csv_header, csv_rows, text_lines) -> None:
+    """Write one report to stdout in the chosen format.
+
+    `payload` is the JSON document; `csv_rows` and `text_lines` may be
+    lazy iterables, and only the chosen format's are consumed.
+    """
+    if output == "json":
+        print(json.dumps(payload, indent=2))
+    elif output == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(csv_header)
+        writer.writerows(csv_rows)
+    else:
+        for line in text_lines:
+            print(line)
 
 
 # -- commands -------------------------------------------------------------
@@ -247,16 +284,12 @@ def _cmd_search(args) -> int:
             file=sys.stderr,
         )
         return EXIT_FINDINGS
-    if args.output == "json":
-        _emit_json(search_result_dict(result))
-    elif args.output == "csv":
-        sys.stdout.write(results_csv([result]))
-    else:
-        print(
-            f"{kind.value}({result.n_min}) starts with '{f}' (base {f.base}); "
-            f"value has {result.value_digit_count} digits; method {result.method}; "
-            f"bound {result.bound}; within_bound {result.within_bound}"
-        )
+    text = (
+        f"{kind.value}({result.n_min}) starts with '{f}' (base {f.base}); "
+        f"value has {result.value_digit_count} digits; method {result.method}; "
+        f"bound {result.bound}; within_bound {result.within_bound}"
+    )
+    _emit(args.output, _result_dict(result), RESULT_FIELDS, [_result_row(result)], [text])
     return EXIT_OK
 
 
@@ -285,38 +318,30 @@ def _cmd_bound(args) -> int:
     else:
         f = DigitString.from_value(b**t - 1, b, t)  # narrowest window
     params = instantiate_p(b, prec) if kind is SequenceKind.PARTITION else instantiate_pl(b, prec)
-    nominal = _bound_breakdown(params, Fraction(1, b**t), prec)
-    actual = _bound_breakdown(params, target_interval(f, prec).delta, prec)
-    actual = {"f": f.text(), **actual}
+    conventions = {
+        "nominal_delta": _bound_breakdown(params, Fraction(1, b**t), prec),
+        "actual_delta": {
+            "f": f.text(), **_bound_breakdown(params, target_interval(f, prec).delta, prec)
+        },
+    }
     payload = {
         "kind": kind.value,
         "b": b,
         "t": t,
         "theorem_bound": tb,
-        "conventions": {"nominal_delta": nominal, "actual_delta": actual},
+        "conventions": conventions,
     }
-    if args.output == "json":
-        _emit_json(payload)
-    elif args.output == "csv":
-        header = ("convention", "f", "delta", "L1", "L2", "L3", "L4", "D",
-                  "bound", "theorem_bound")
-        rows = [
-            ("nominal_delta", "", nominal["delta"], nominal["L1"], nominal["L2"],
-             nominal["L3"], nominal["L4"], nominal["D"], nominal["bound"], tb),
-            ("actual_delta", actual["f"], actual["delta"], actual["L1"],
-             actual["L2"], actual["L3"], actual["L4"], actual["D"],
-             actual["bound"], tb),
+    keys = ("delta", "L1", "L2", "L3", "L4", "D", "bound")
+    rows = [(name, bd.get("f", ""), *(bd[k] for k in keys), tb)
+            for name, bd in conventions.items()]
+    text = [f"{kind.value} base {b} t {t}: theorem bound {tb}"]
+    for name, bd in conventions.items():
+        extra = f" (f = {bd['f']})" if "f" in bd else ""
+        text += [
+            f"  {name}{extra}: delta {bd['delta']}, bound {bd['bound']}",
+            f"    L1 {bd['L1']}, L2 {bd['L2']}, L3 {bd['L3']}, L4 {bd['L4']}, D {bd['D']}",
         ]
-        _emit_csv_rows(header, rows)
-    else:
-        print(f"{kind.value} base {b} t {t}: theorem bound {tb}")
-        for name, bd in payload["conventions"].items():
-            extra = f" (f = {bd['f']})" if "f" in bd else ""
-            print(f"  {name}{extra}: delta {bd['delta']}, bound {bd['bound']}")
-            print(
-                f"    L1 {bd['L1']}, L2 {bd['L2']}, L3 {bd['L3']}, "
-                f"L4 {bd['L4']}, D {bd['D']}"
-            )
+    _emit(args.output, payload, ("convention", "f", *keys, "theorem_bound"), rows, text)
     return EXIT_OK
 
 
@@ -328,23 +353,16 @@ def _cmd_verify(args) -> int:
         memory_budget=args.memory_budget, table=table,
     )
     _save_table(table, path, loaded)
-    if args.output == "json":
-        _emit_json(report_dict(report))
-    elif args.output == "csv":
-        sys.stdout.write(results_csv(report.results))
-    else:
-        print(
-            f"{kind.value} base {report.base} t {report.t}: "
-            f"{len(report.results)} digit strings, bound {report.results[0].bound}"
-        )
-        for r in report.results:
-            where = "not found" if r.n_min is None else f"n_min {r.n_min}"
-            print(f"  f {r.f}: {where}, within_bound {r.within_bound}")
-        print(
-            f"max_n_min {report.max_n_min}; all_within_bound "
-            f"{report.all_within_bound}; table entries {report.table_entries}; "
-            f"runtime {report.runtime_seconds:.3f}s"
-        )
+    results = report.results
+    text = chain(
+        [f"{kind.value} base {report.base} t {report.t}: "
+         f"{len(results)} digit strings, bound {results[0].bound}"],
+        (f"  f {r.f}: {'not found' if r.n_min is None else f'n_min {r.n_min}'}, "
+         f"within_bound {r.within_bound}" for r in results),
+        [f"max_n_min {report.max_n_min}; all_within_bound {report.all_within_bound}; "
+         f"table entries {report.table_entries}; runtime {report.runtime_seconds:.3f}s"],
+    )
+    _emit(args.output, _report_dict(report), RESULT_FIELDS, map(_result_row, results), text)
     return EXIT_OK if report.all_within_bound else EXIT_FINDINGS
 
 
@@ -353,29 +371,29 @@ def _cmd_census(args) -> int:
     if args.limit < 0:
         raise ValueError(f"census size must be >= 0, got {args.limit}")
     table, path, loaded = _load_table(args, kind)
-    counts = digit_census(
+    census = digit_census(
         kind, args.base, args.t, args.limit, table=table,
         memory_budget=args.memory_budget,
     )
     _save_table(table, path, loaded)
-    total = sum(counts.values())
-    if args.output == "json":
-        _emit_json({
-            "kind": kind.value,
-            "b": args.base,
-            "t": args.t,
-            "N": args.limit,
-            "counts": [{"f": f.text(), "count": c} for f, c in counts.items()],
-            "total": total,
-            "skipped": args.limit - total,
-        })
-    elif args.output == "csv":
-        _emit_csv_rows(("f", "count"), [(f.text(), c) for f, c in counts.items()])
-    else:
-        print(f"{kind.value} base {args.base} t {args.t}, n = 1..{args.limit}:")
-        for f, c in counts.items():
-            print(f"  {f}: {c}")
-        print(f"total {total}, skipped {args.limit - total}")
+    counts = [(f.text(), c) for f, c in census.items()]
+    total = sum(census.values())
+    skipped = args.limit - total
+    payload = {
+        "kind": kind.value,
+        "b": args.base,
+        "t": args.t,
+        "N": args.limit,
+        "counts": [{"f": f, "count": c} for f, c in counts],
+        "total": total,
+        "skipped": skipped,
+    }
+    text = chain(
+        [f"{kind.value} base {args.base} t {args.t}, n = 1..{args.limit}:"],
+        (f"  {f}: {c}" for f, c in counts),
+        [f"total {total}, skipped {skipped}"],
+    )
+    _emit(args.output, payload, ("f", "count"), counts, text)
     return EXIT_OK
 
 
@@ -461,23 +479,14 @@ def _selftest_checks(precision: int):
 
 
 def _cmd_selftest(args) -> int:
-    checks = _selftest_checks(args.precision)
-    all_pass = all(ok for _, ok in checks)
-    if args.output == "json":
-        _emit_json({
-            "checks": [{"name": name, "status": "pass" if ok else "fail"}
-                       for name, ok in checks],
-            "all_pass": all_pass,
-        })
-    elif args.output == "csv":
-        _emit_csv_rows(
-            ("name", "status"),
-            [(name, "pass" if ok else "fail") for name, ok in checks],
-        )
-    else:
-        for name, ok in checks:
-            print(f"{'PASS' if ok else 'FAIL'}  {name}")
-        print(f"all_pass {all_pass}")
+    checks = [(name, "pass" if ok else "fail") for name, ok in _selftest_checks(args.precision)]
+    all_pass = all(status == "pass" for _, status in checks)
+    payload = {
+        "checks": [{"name": name, "status": status} for name, status in checks],
+        "all_pass": all_pass,
+    }
+    text = [*(f"{status.upper()}  {name}" for name, status in checks), f"all_pass {all_pass}"]
+    _emit(args.output, payload, ("name", "status"), checks, text)
     return EXIT_OK if all_pass else EXIT_FINDINGS
 
 

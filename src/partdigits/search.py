@@ -14,8 +14,6 @@ x86 VM).  It stays as library API for audits of the certified layer.
 """
 from __future__ import annotations
 
-import csv
-import io
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -253,50 +251,3 @@ def digit_census(
         DigitString.from_value(head, base, t): counts[head] for head in sorted(counts)
     }
 
-
-# -- serialization -------------------------------------------------------
-
-CSV_FIELDS = ("f", "n_min", "bound", "within_bound", "method")
-
-
-def search_result_dict(result: SearchResult) -> dict:
-    return {
-        "f": result.f.text(),
-        "kind": result.kind.value,
-        "n_min": result.n_min,
-        "value_digit_count": result.value_digit_count,
-        "method": result.method,
-        "bound": result.bound,
-        "within_bound": result.within_bound,
-    }
-
-
-def report_dict(report: VerificationReport) -> dict:
-    # runtime_seconds stays off the wire so identical configs emit
-    # byte-identical JSON; text rendering shows it instead.
-    return {
-        "kind": report.kind.value,
-        "b": report.base,
-        "t": report.t,
-        "results": [search_result_dict(r) for r in report.results],
-        "max_n_min": report.max_n_min,
-        "all_within_bound": report.all_within_bound,
-        "table_entries": report.table_entries,
-    }
-
-
-def results_csv(results: list[SearchResult]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_FIELDS)
-    for r in results:
-        writer.writerow(
-            [
-                r.f.text(),
-                "" if r.n_min is None else r.n_min,
-                r.bound,
-                r.within_bound,
-                r.method,
-            ]
-        )
-    return buf.getvalue()

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import partdigits
+import partdigits.cli as cli
 from partdigits import SequenceKind, SequenceTable
 from partdigits.cli import (
     EXIT_FINDINGS,
@@ -311,7 +313,19 @@ def test_cached_verify_leaves_the_cache_alone(tmp_path, capsys):
     code, cached, err = _run(capsys, *argv, "--cache", str(cache))
     assert code == EXIT_OK, err
     assert (stored.stat().st_size, stored.stat().st_mtime_ns) == before
-    assert json.loads(cached)["results"] == json.loads(_run(capsys, *argv)[1])["results"]
+    assert cached == _run(capsys, *argv)[1]
+
+
+def test_verify_stdout_does_not_depend_on_the_cache(tmp_path, capsys):
+    # the cache holds 3,001 entries, the scan reads 769 of them
+    cache = tmp_path / "tables"
+    cache.mkdir()
+    SequenceTable(SequenceKind.PARTITION).extend(3000).save(cache / "p.table")
+    for output in ("json", "csv"):
+        argv = ("verify", "--kind", "p", "--base", "10", "--t", "2", "--output", output)
+        code, cached, err = _run(capsys, *argv, "--cache", str(cache))
+        assert code == EXIT_OK, err
+        assert cached == _run(capsys, *argv)[1], output
 
 
 def test_concurrent_saves_use_their_own_temp_files(tmp_path, monkeypatch):
@@ -336,6 +350,127 @@ def test_concurrent_saves_use_their_own_temp_files(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["p.table"]
     monkeypatch.undo()
     assert SequenceTable.load(path).last_index == 300
+
+
+SELFTEST_NAMES = (
+    "partition-recurrence-vs-enumeration",
+    "plane-recurrence-vs-enumeration",
+    "sigma2-vs-divisor-sieve",
+    "partition-log-envelope",
+    "plane-log-envelope",
+    "log-doubling-inequality",
+    "digit-roundtrip",
+    "golden-ratio-first-hit",
+)
+BOUND_TERMS = {
+    "nominal_delta": {
+        "delta": "0.1",
+        "L1": "5.471343916686239657969491",
+        "L2": "2716.008436967240580767436",
+        "L3": "25.78534042102777915594388",
+        "L4": "279.2284252384136197024823",
+        "D": "5.077926783740366136389381",
+        "bound": 5435,
+    },
+    "actual_delta": {
+        "f": "9",
+        "delta": "0.04575749056067512574030864",
+        "L1": "5.471343916686239657969491",
+        "L2": "12971.99334242991898826234",
+        "L3": "25.78534042102777915594388",
+        "L4": "1333.629610243210290512888",
+        "D": "5.077926783740366136389381",
+        "bound": 25946,
+    },
+}
+
+
+def _p_result(f, n_min, digits, bound):
+    return {"f": f, "kind": "p", "n_min": n_min, "value_digit_count": digits,
+            "method": "exact", "bound": bound, "within_bound": True}
+
+
+def _json(document):
+    return json.dumps(document, indent=2) + "\n"
+
+
+# The whole stdout of one small case per (command, format).  JSON is pinned
+# as the document whose two-space-indented dump it must equal byte for byte.
+EXACT_STDOUT = {
+    ("search --kind p --base 10 --digits 7", "json"): _json(_p_result("7", 5, 1, 5470)),
+    ("search --kind p --base 10 --digits 7", "csv"):
+        "f,n_min,bound,within_bound,method\n7,5,5470,True,exact\n",
+    ("search --kind p --base 10 --digits 7", "text"):
+        "p(5) starts with '7' (base 10); value has 1 digits; method exact; "
+        "bound 5470; within_bound True\n",
+    ("bound --kind p --base 10 --t 1", "json"): _json({
+        "kind": "p", "b": 10, "t": 1, "theorem_bound": 5470, "conventions": BOUND_TERMS,
+    }),
+    ("bound --kind p --base 10 --t 1", "csv"):
+        "convention,f,delta,L1,L2,L3,L4,D,bound,theorem_bound\n"
+        "nominal_delta,,0.1,5.471343916686239657969491,2716.008436967240580767436,"
+        "25.78534042102777915594388,279.2284252384136197024823,"
+        "5.077926783740366136389381,5435,5470\n"
+        "actual_delta,9,0.04575749056067512574030864,5.471343916686239657969491,"
+        "12971.99334242991898826234,25.78534042102777915594388,"
+        "1333.629610243210290512888,5.077926783740366136389381,25946,5470\n",
+    ("bound --kind p --base 10 --t 1", "text"):
+        "p base 10 t 1: theorem bound 5470\n"
+        "  nominal_delta: delta 0.1, bound 5435\n"
+        "    L1 5.471343916686239657969491, L2 2716.008436967240580767436, "
+        "L3 25.78534042102777915594388, L4 279.2284252384136197024823, "
+        "D 5.077926783740366136389381\n"
+        "  actual_delta (f = 9): delta 0.04575749056067512574030864, bound 25946\n"
+        "    L1 5.471343916686239657969491, L2 12971.99334242991898826234, "
+        "L3 25.78534042102777915594388, L4 1333.629610243210290512888, "
+        "D 5.077926783740366136389381\n",
+    ("verify --kind p --base 2 --t 2", "json"): _json({
+        "kind": "p", "b": 2, "t": 2,
+        "results": [_p_result("10", 2, 2, 9658), _p_result("11", 3, 2, 9658)],
+        "max_n_min": 3, "all_within_bound": True,
+    }),
+    ("verify --kind p --base 2 --t 2", "csv"):
+        "f,n_min,bound,within_bound,method\n10,2,9658,True,exact\n11,3,9658,True,exact\n",
+    ("verify --kind p --base 2 --t 2", "text"):
+        "p base 2 t 2: 2 digit strings, bound 9658\n"
+        "  f 10: n_min 2, within_bound True\n"
+        "  f 11: n_min 3, within_bound True\n"
+        "max_n_min 3; all_within_bound True; table entries 257; runtime <masked>s\n",
+    ("census --kind p --base 10 --t 1 --limit 10", "json"): _json({
+        "kind": "p", "b": 10, "t": 1, "N": 10,
+        "counts": [{"f": f, "count": c} for f, c in
+                   (("1", 3), ("2", 2), ("3", 2), ("4", 1), ("5", 1), ("7", 1))],
+        "total": 10, "skipped": 0,
+    }),
+    ("census --kind p --base 10 --t 1 --limit 10", "csv"):
+        "f,count\n1,3\n2,2\n3,2\n4,1\n5,1\n7,1\n",
+    ("census --kind p --base 10 --t 1 --limit 10", "text"):
+        "p base 10 t 1, n = 1..10:\n"
+        "  1: 3\n  2: 2\n  3: 2\n  4: 1\n  5: 1\n  7: 1\n"
+        "total 10, skipped 0\n",
+    ("selftest", "json"): _json({
+        "checks": [{"name": name, "status": "pass"} for name in SELFTEST_NAMES],
+        "all_pass": True,
+    }),
+    ("selftest", "csv"): "name,status\n" + "".join(f"{n},pass\n" for n in SELFTEST_NAMES),
+    ("selftest", "text"):
+        "".join(f"PASS  {n}\n" for n in SELFTEST_NAMES) + "all_pass True\n",
+}
+
+
+@pytest.fixture(scope="module")
+def selftest_checks():
+    return cli._selftest_checks(cli.DEFAULT_PRECISION)
+
+
+@pytest.mark.parametrize("command, output", list(EXACT_STDOUT))
+def test_exact_stdout(capsys, monkeypatch, selftest_checks, command, output):
+    # selftest's checks run once per module; only their rendering runs per format
+    monkeypatch.setattr(cli, "_selftest_checks", lambda precision: selftest_checks)
+    code, out, err = _run(capsys, *command.split(), "--output", output)
+    assert (code, err) == (EXIT_OK, "")
+    assert re.sub(r"runtime \d+\.\d+s", "runtime <masked>s", out) == \
+        EXACT_STDOUT[command, output]
 
 
 def test_selftest(capsys):

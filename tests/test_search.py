@@ -18,14 +18,8 @@ from partdigits import (
     target_interval,
     verify_theorem,
 )
-from partdigits.search import (
-    CSV_FIELDS,
-    METHOD_EXACT,
-    report_dict,
-    results_csv,
-    scan_heads,
-    search_result_dict,
-)
+from partdigits.cli import RESULT_FIELDS, _emit, _report_dict, _result_dict, _result_row
+from partdigits.search import METHOD_EXACT, scan_heads
 
 P_FIRST_HITS = {1: 0, 2: 2, 3: 3, 4: 10, 5: 4, 6: 20, 7: 5, 8: 32, 9: 60}
 PL_FIRST_HITS = {1: 0, 2: 5, 3: 2, 4: 6, 5: 10, 6: 3, 7: 20, 8: 7, 9: 37}
@@ -250,7 +244,7 @@ def test_digit_census_guards(p_table):
 
 def test_search_result_serialization(p_table):
     r = find_min_n(SequenceKind.PARTITION, DigitString.parse("4", 10), table=p_table)
-    payload = search_result_dict(r)
+    payload = _result_dict(r)
     assert payload == {
         "f": "4",
         "kind": "p",
@@ -265,26 +259,28 @@ def test_search_result_serialization(p_table):
 
 def test_report_serialization_omits_runtime(p_table):
     report = verify_theorem(SequenceKind.PARTITION, 10, 1, table=p_table)
-    payload = report_dict(report)
+    payload = _report_dict(report)
     assert payload["kind"] == "p" and payload["b"] == 10 and payload["t"] == 1
     assert payload["max_n_min"] == 60
     assert payload["all_within_bound"] is True
     assert len(payload["results"]) == 9
     assert "runtime_seconds" not in payload
+    assert "table_entries" not in payload  # it depends on the table passed in
     assert "runtime" not in json.dumps(payload)
 
 
-def test_results_csv_layout(p_table):
+def test_results_csv_layout(p_table, capsys):
     from partdigits import SearchResult
 
     r = find_min_n(SequenceKind.PARTITION, DigitString.parse("4", 10), table=p_table)
-    text = results_csv([r])
-    lines = text.splitlines()
-    assert lines[0] == ",".join(CSV_FIELDS)
-    assert lines[1] == "4,10,5470,True,exact"
     # a not-found result leaves the n_min cell empty
     missing = SearchResult(
         f=DigitString.parse("9", 10), kind=SequenceKind.PARTITION, n_min=None,
         value_digit_count=None, method=METHOD_EXACT, bound=100, within_bound=False,
     )
-    assert results_csv([missing]).splitlines()[1] == "9,,100,False,exact"
+    _emit("csv", None, RESULT_FIELDS, [_result_row(r), _result_row(missing)], ())
+    assert capsys.readouterr().out.splitlines() == [
+        "f,n_min,bound,within_bound,method",
+        "4,10,5470,True,exact",
+        "9,,100,False,exact",
+    ]
