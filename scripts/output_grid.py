@@ -51,6 +51,19 @@ def _grid():
         yield ("census", "--kind", "pl", "--base", "10", "--t", "1", "--limit", "300",
                "--cache", CACHE)
     yield ("selftest",)
+    # usage errors: each exits 2 with its message on stderr
+    yield ("search", "--kind", "p", "--base", "2", "--digits", "1")
+    yield ("bound", "--kind", "p", "--base", "2", "--t", "1")
+    yield ("verify", "--kind", "p", "--base", "10", "--t", "0")
+    yield ("census", "--kind", "p", "--base", "10", "--t", "1", "--limit", "-1")
+    yield ("search", "--kind", "p", "--base", "10", "--digits", "7", "--limit", "-4")
+    yield ("search", "--kind", "p", "--base", "10", "--digits", "7", "--precision", "32")
+    # the precision sets the width of every log enclosure
+    for precision in ("64", "384"):
+        for kind in ("p", "pl"):
+            yield ("bound", "--kind", kind, "--base", "10", "--t", "2",
+                   "--precision", precision)
+        yield ("selftest", "--precision", precision)
 
 
 def _fingerprint(argv) -> tuple[int, str, str]:

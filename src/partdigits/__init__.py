@@ -15,6 +15,7 @@ from .asymptotics import (
     instantiate_pl,
     log_p_estimate,
     log_pl_estimate,
+    theorem_bound,
 )
 from .certified import DEFAULT_PRECISION, as_interval, working_precision
 from .digits import (
@@ -44,7 +45,6 @@ from .framework import (
     compute_bounds,
     find_m_a_delta,
     main_term,
-    theorem_bound,
 )
 from .search import (
     SearchResult,

@@ -14,7 +14,8 @@ is Wright's constant.  `instantiate_p` and `instantiate_pl` are the one
 place these coefficients are written.  An estimate is derived from them:
 its midpoint is the model's main term and its envelope c4*n^(-theta), both
 certified intervals, so log_b of the count is guaranteed to lie within
-`envelope` of `midpoint` whenever n >= valid_from = K.
+`envelope` of `midpoint` whenever n >= valid_from = K.  `theorem_bound`
+is the paper's closed-form first-hit horizon for each kind.
 """
 from __future__ import annotations
 
@@ -26,11 +27,13 @@ from mpmath import iv
 from .certified import (
     DEFAULT_PRECISION,
     as_interval,
+    ceil_sup,
     hull,
     inf,
     sup,
     working_precision,
 )
+from .digits import check_digit_domain
 from .engines import SequenceKind
 from .framework import FrameworkParams, main_term
 
@@ -38,6 +41,9 @@ MIN_CONSTANT_PRECISION = 128
 
 P_VALID_FROM = 4
 PL_VALID_FROM = 2829
+
+PARTITION_BOUND_COEFF = 290
+PLANE_BOUND_COEFF = 29396
 
 
 def _zeta3_fraction_bracket(bits: int) -> tuple[Fraction, Fraction]:
@@ -150,6 +156,28 @@ def instantiate_p(base: int, precision: int | None = None) -> FrameworkParams:
 def instantiate_pl(base: int, precision: int | None = None) -> FrameworkParams:
     """Growth-model coefficients of log_b PL(n) (valid from K = 2829)."""
     return _instantiate(SequenceKind.PLANE_PARTITION, base, precision)
+
+
+def theorem_bound(kind: SequenceKind, base: int, t: int, precision: int | None = None) -> int:
+    """The paper's closed-form first-hit horizon for t-digit base-b targets:
+
+        p:  ceil(290 * b^(2t) / ln(b)^2)
+        PL: ceil(29396 * b^(3t/2) / ln(b)^(3/2))
+
+    Not certified: at the narrowest window, f = b^t - 1, compute_bounds
+    proves larger horizons, 25,946 for p b10 t1 (closed form 5,470) and
+    127,881,305 for pl b10 t2 (8,413,268).
+    """
+    kind = SequenceKind(kind)
+    check_digit_domain(base, t)
+    with working_precision(precision or DEFAULT_PRECISION):
+        b = iv.mpf(base)
+        lb = iv.log(b)
+        if kind is SequenceKind.PARTITION:
+            expr = PARTITION_BOUND_COEFF * b ** (2 * t) / lb**2
+        else:
+            expr = PLANE_BOUND_COEFF * b ** (iv.mpf(3 * t) / 2) / lb ** (iv.mpf(3) / 2)
+        return ceil_sup(expr)
 
 
 @dataclass(eq=False)

@@ -15,7 +15,13 @@ from pathlib import Path
 import mpmath
 from mpmath import iv
 
-from .asymptotics import instantiate_p, instantiate_pl, log_p_estimate, log_pl_estimate
+from .asymptotics import (
+    instantiate_p,
+    instantiate_pl,
+    log_p_estimate,
+    log_pl_estimate,
+    theorem_bound,
+)
 from .certified import (
     DEFAULT_PRECISION,
     as_interval,
@@ -34,7 +40,7 @@ from .engines import (
     brute_force_pl,
     sigma2,
 )
-from .framework import compute_bounds, find_m_a_delta, theorem_bound
+from .framework import compute_bounds, find_m_a_delta
 from .search import (
     SearchResult,
     VerificationReport,
@@ -78,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--precision", type=int, default=DEFAULT_PRECISION, metavar="BITS",
-        help=f"certified working precision in bits (default {DEFAULT_PRECISION})",
+        help=f"working precision in bits (default {DEFAULT_PRECISION}; census ignores it)",
     )
     common.add_argument(
         "--output", choices=("json", "csv", "text"), default="json",
@@ -106,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--digits", required=True, metavar="F",
                           help="target digit string in the given base (0-9a-z)")
     p_search.add_argument("--limit", type=int, default=None, metavar="N",
-                          help="scan horizon (default: the certified first-hit bound)")
+                          help="scan horizon (default: the uncertified closed form theorem_bound)")
     p_search.set_defaults(handler=_cmd_search)
 
     p_bound = sub.add_parser("bound", parents=[common, sized],

@@ -19,16 +19,11 @@ from mpmath import iv
 
 from .certified import (
     DEFAULT_PRECISION,
-    as_interval,
     inf,
     membership_half_open,
     sup,
     working_precision,
 )
-
-# Window width for log enclosures: the enclosure endpoints differ by about
-# 2^-window_bits / ln b, far below the 1e-30 the search layer relies on.
-DEFAULT_WINDOW_BITS = 144
 
 _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
@@ -102,17 +97,23 @@ class DigitString:
         return self.text()
 
 
+def check_digit_domain(base: int, t: int) -> None:
+    """Raise ValueError unless t-digit base-b strings exist: base >= 2,
+    t >= 1, and not base 2 with t = 1 (the string "1" matches everything)."""
+    if base < 2 or t < 1 or (base == 2 and t == 1):
+        raise ValueError(f"no valid digit strings for base {base}, t {t}")
+
+
 def all_digit_strings(base: int, t: int):
     """All valid t-digit base-b strings, in increasing numeric order."""
-    if t < 1 or (base == 2 and t < 2):
-        raise ValueError(f"no valid digit strings for base {base}, t {t}")
+    check_digit_domain(base, t)
     return [DigitString.from_value(v, base, t) for v in range(base ** (t - 1), base**t)]
 
 
 def digit_count(n: int, base: int) -> int:
     """Number of base-b digits of n >= 1 (exact)."""
-    if n < 1:
-        raise ValueError(f"digit_count requires n >= 1, got {n}")
+    if n < 1 or base < 2:
+        raise ValueError(f"digit_count requires n >= 1 and base >= 2, got {n}, {base}")
     if base == 2:
         return n.bit_length()
     # Float estimate of floor(log_b n) from the bit length, then an exact
@@ -146,73 +147,47 @@ def leading_digits(n: int, base: int, t: int) -> DigitString:
     return DigitString.from_value(w, base, t)
 
 
-def _power_exponent(n: int, base: int) -> int | None:
-    """e with n == base**e, or None."""
-    d = digit_count(n, base)
-    return d - 1 if base ** (d - 1) == n else None
+def _log_int(value: int, base: int, precision: int):
+    """(Enclosure of log_base(value), digit count of value) for an integer >= 1.
 
-
-def _log_base(m: int, base: int):
-    """Enclosure of log_base(m), exact when m is a power of the base."""
-    e = _power_exponent(m, base)
-    if e is not None:
-        return iv.mpf(e)
-    return iv.log(iv.mpf(m)) / iv.log(iv.mpf(base))
-
-
-def _log_int(value: int, base: int, window_bits: int):
-    """Certified enclosure of log_base(value) for an exact integer >= 1."""
-    if value == 1:
-        return iv.mpf(0)
+    Reads a leading window head = value // b^z of 3/4 of the working
+    `precision` in bits, so value lies in [head*b^z, (head+1)*b^z); endpoints
+    at powers of b are exact, so fractional parts never spill outside [0, 1].
+    """
     d = digit_count(value, base)
-    # Keep a leading window of ~window_bits bits; the rest only widens the
-    # enclosure by the gap between W*b^z and (W+1)*b^z.
-    w = min(d, max(2, math.ceil(window_bits / math.log2(base))))
+    w = min(d, max(2, math.ceil(precision * 3 / 4 / math.log2(base))))
     z = d - w
-    if z == 0:
-        return _log_base(value, base)
-    head = value >> z if base == 2 else value // base**z
-    rem = value - (head << z if base == 2 else head * base**z)
+    if base == 2:
+        head, rem = value >> z, value & ((1 << z) - 1)
+    else:
+        head, rem = divmod(value, base**z)
+    top = base**w
+    lb = iv.log(iv.mpf(base))
+    lo = iv.mpf(w - 1) if head * base == top else iv.log(iv.mpf(head)) / lb
     if rem == 0:
-        return _log_base(head, base) + z
-    # value lies in (head*b^z, (head+1)*b^z); taking each endpoint's own
-    # enclosure keeps endpoints exact at powers of b, so fractional parts
-    # never spill outside [0, 1].
-    lo = _log_base(head, base)
-    hi = _log_base(head + 1, base)
-    return iv.mpf([inf(lo), sup(hi)]) + z
+        return lo + z, d
+    hi = iv.mpf(w) if head + 1 == top else iv.log(iv.mpf(head + 1)) / lb
+    return iv.mpf([inf(lo), sup(hi)]) + z, d
 
 
-def log_value_interval(
-    value: int, base: int, precision: int | None = None, window_bits: int | None = None
-):
+def log_value_interval(value: int, base: int, precision: int | None = None):
     """Certified enclosure of log_base(value), value >= 1 exact."""
-    if value < 1:
-        raise ValueError(f"log requires value >= 1, got {value}")
-    if base < 2:
-        raise ValueError(f"base must be >= 2, got {base}")
-    with working_precision(precision or DEFAULT_PRECISION):
-        return _log_int(value, base, window_bits or DEFAULT_WINDOW_BITS)
+    prec = precision or DEFAULT_PRECISION
+    with working_precision(prec):
+        return _log_int(value, base, prec)[0]
 
 
-def frac_log(
-    n: int, base: int, precision: int | None = None, window_bits: int | None = None
-):
+def frac_log(n: int, base: int, precision: int | None = None):
     """Certified enclosure of the fractional part of log_base(n), n >= 1.
 
     The enclosure never straddles an integer: it equals the full log
     enclosure shifted down by the exact digit count minus one, and exact
     powers of the base return the zero-width interval [0, 0].
     """
-    if n < 1:
-        raise ValueError(f"frac_log requires n >= 1, got {n}")
-    if base < 2:
-        raise ValueError(f"base must be >= 2, got {base}")
-    with working_precision(precision or DEFAULT_PRECISION):
-        if _power_exponent(n, base) is not None:
-            return iv.mpf(0)
-        d = digit_count(n, base)
-        return _log_int(n, base, window_bits or DEFAULT_WINDOW_BITS) - (d - 1)
+    prec = precision or DEFAULT_PRECISION
+    with working_precision(prec):
+        x, d = _log_int(n, base, prec)
+        return x - (d - 1)
 
 
 @dataclass(eq=False)
@@ -243,6 +218,6 @@ def target_interval(f: DigitString, precision: int | None = None) -> TargetInter
     prec = precision or DEFAULT_PRECISION
     with working_precision(prec):
         shift = f.t - 1
-        lo = _log_int(f.value, f.base, DEFAULT_WINDOW_BITS) - shift
-        hi = _log_int(f.value + 1, f.base, DEFAULT_WINDOW_BITS) - shift
+        lo = _log_int(f.value, f.base, prec)[0] - shift
+        hi = _log_int(f.value + 1, f.base, prec)[0] - shift
         return TargetInterval(f=f, lo=lo, hi=hi)

@@ -36,10 +36,6 @@ from .certified import (
     sup,
     working_precision,
 )
-from .engines import SequenceKind
-
-PARTITION_BOUND_COEFF = 290
-PLANE_BOUND_COEFF = 29396
 
 
 class UndecidableMembershipError(RuntimeError):
@@ -124,27 +120,6 @@ def main_term(params: FrameworkParams, n: int):
         raise ValueError(f"n must be >= 1, got {n}")
     nn = iv.mpf(n)
     return params.c1 * nn**params.theta + params.c2 * iv.log(nn) + params.c3
-
-
-def theorem_bound(kind: SequenceKind, base: int, t: int, precision: int | None = None) -> int:
-    """Closed-form first-hit bound valid for every t-digit base-b target:
-
-        p:  ceil(290 * b^(2t) / ln(b)^2)
-        PL: ceil(29396 * b^(3t/2) / ln(b)^(3/2))
-    """
-    kind = SequenceKind(kind)
-    if base < 2:
-        raise ValueError(f"base must be >= 2, got {base}")
-    if t < 1 or (base == 2 and t < 2):
-        raise ValueError(f"no valid digit strings for base {base}, t {t}")
-    with working_precision(precision or DEFAULT_PRECISION):
-        b = iv.mpf(base)
-        lb = iv.log(b)
-        if kind is SequenceKind.PARTITION:
-            expr = PARTITION_BOUND_COEFF * b ** (2 * t) / lb**2
-        else:
-            expr = PLANE_BOUND_COEFF * b ** (iv.mpf(3 * t) / 2) / lb ** (iv.mpf(3) / 2)
-        return ceil_sup(expr)
 
 
 def find_m_a_delta(g, K: int, a, delta, scan_limit: int, precision: int | None = None):

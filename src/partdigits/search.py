@@ -18,24 +18,24 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
+from .asymptotics import theorem_bound
 from .certified import DEFAULT_PRECISION
 from .digits import (
-    DEFAULT_WINDOW_BITS,
     DigitString,
     TargetInterval,
     all_digit_strings,
+    check_digit_domain,
     digit_count,
     frac_log,
     leading_digits,
     target_interval,
 )
 from .engines import ResourceLimitError, SequenceKind, SequenceTable
-from .framework import theorem_bound
 
 METHOD_EXACT = "exact"
 
 _GROWTH_CHUNK = 256
-_ESCALATION = (1, 2, 4)  # precision/window multipliers before the exact fallback
+_ESCALATION = (1, 2, 4)  # precision multipliers before the exact fallback
 
 
 @dataclass
@@ -71,21 +71,16 @@ def decide_membership(
     a window endpoint (which happens exactly when value is within rounding
     of f*b^z or (f+1)*b^z).
     """
-    base = target.f.base
-    t = target.f.t
-    prec0 = precision or DEFAULT_PRECISION
-    tgt = target
+    f = target.f
     for mult in _ESCALATION:
-        prec = prec0 * mult
-        if mult != 1:
-            tgt = target_interval(target.f, precision=prec)
-        fr = frac_log(value, base, precision=prec, window_bits=DEFAULT_WINDOW_BITS * mult)
-        decision = tgt.contains(fr)
+        prec = (precision or DEFAULT_PRECISION) * mult
+        tgt = target if mult == 1 else target_interval(f, precision=prec)
+        decision = tgt.contains(frac_log(value, f.base, precision=prec))
         if decision is not None:
             return decision, False
-    if digit_count(value, base) < t:
+    if digit_count(value, f.base) < f.t:
         return False, True
-    return leading_digits(value, base, t) == target.f, True
+    return leading_digits(value, f.base, f.t) == f, True
 
 
 def scan_heads(table: SequenceTable, base: int, t: int, start: int, stop: int):
@@ -166,9 +161,9 @@ def find_min_n(
 ) -> SearchResult | None:
     """Smallest n (from 0) with the table value leading with f, or None.
 
-    `limit` defaults to theorem_bound(kind, f.base, f.t), the horizon by
-    which a hit is guaranteed.  Values with fewer than t digits are
-    skipped.  A supplied `table` is reused and grown in place.
+    `limit` defaults to theorem_bound(kind, f.base, f.t), the paper's
+    closed-form horizon, which is not certified.  Values with fewer than t
+    digits are skipped.  A supplied `table` is reused and grown in place.
     """
     kind = SequenceKind(kind)
     bound = theorem_bound(kind, f.base, f.t, precision)
@@ -243,8 +238,7 @@ def digit_census(
     kind = SequenceKind(kind)
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    if t < 1 or base < 2 or (base == 2 and t < 2):
-        raise ValueError(f"no valid digit strings for base {base}, t {t}")
+    check_digit_domain(base, t)
     table = _table_for(kind, table, memory_budget)
     counts = Counter(head for _, head in scan_heads(table, base, t, 1, N))
     return {

@@ -63,6 +63,10 @@ def test_all_digit_strings():
         all_digit_strings(2, 1)
     with pytest.raises(ValueError):
         all_digit_strings(10, 0)
+    with pytest.raises(ValueError):
+        all_digit_strings(1, 3)
+    with pytest.raises(ValueError):
+        all_digit_strings(0, 1)
 
 
 def test_digit_count_matches_string_length():
@@ -80,6 +84,12 @@ def test_digit_count_matches_string_length():
                 assert digit_count(b**e - 1, b) == e
     with pytest.raises(ValueError):
         digit_count(0, 10)
+    with pytest.raises(ValueError):
+        digit_count(5, 1)
+    with pytest.raises(ValueError):
+        digit_count(5, 0)
+    with pytest.raises(ValueError):
+        leading_digits(5, 1, 1)
 
 
 def test_leading_digits_examples():
@@ -202,7 +212,11 @@ def test_membership_round_trip_small_grid():
 
 
 def test_window_width_parameter():
-    wide = frac_log(7**333, 10, window_bits=48)
-    tight = frac_log(7**333, 10, window_bits=192)
-    assert sup(wide) - inf(wide) > sup(tight) - inf(tight)
-    assert inf(wide) <= inf(tight) and sup(tight) <= sup(wide)
+    # the leading window is 3/4 of the precision in bits, so an enclosure
+    # at P bits is about 2^(-3P/4) wide and lies inside the one at fewer bits
+    precisions = (64, 192, 384)
+    wide, mid, tight = (frac_log(7**333, 10, precision=p) for p in precisions)
+    assert sup(wide) - inf(wide) > sup(mid) - inf(mid) > sup(tight) - inf(tight)
+    assert inf(wide) <= inf(mid) <= inf(tight) and sup(tight) <= sup(mid) <= sup(wide)
+    for p, x in zip(precisions, (wide, mid, tight)):
+        assert sup(x) - inf(x) < 2.0 ** (8 - 3 * p // 4)
