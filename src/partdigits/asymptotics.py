@@ -11,18 +11,28 @@ c2*log n + c3 + E(n) with |E(n)| <= c4*n^(-theta) for n >= K:
 
 where z3 = zeta(3) and B = z3^(7/36) e^(zeta'(-1)) 2^(-11/36) (3 pi)^(-1/2)
 is Wright's constant.  `instantiate_p` and `instantiate_pl` are the one
-place these coefficients are written.  An estimate is derived from them:
-its midpoint is the model's main term and its envelope c4*n^(-theta), both
-certified intervals, so log_b of the count is guaranteed to lie within
-`envelope` of `midpoint` whenever n >= valid_from = K.  `theorem_bound`
-is the paper's closed-form first-hit horizon for each kind.
+place these coefficients are written, theta as an exact fraction.  An
+estimate is derived from them: its midpoint is the model's main term and
+its envelope c4*n^(-theta), both certified intervals.  n^theta is read off
+exact integer roots, isqrt(n * 2^(2P)) or the integer cube root of
+n^2 * 2^(3P) at working precision P, so the only transcendental call per
+estimate is log n.
+
+c4 and K are stated, not derived: nothing here proves the envelope.  For
+PL, K = 2829 is the first n where 200/n^(2/3) falls below one nat.  The
+envelope is checked against the exact values for every n in 4..5e4 (p)
+and 2829..2e4 (PL), bases 2 and 10, by acceptance tests 2 and 3; past
+those ranges it is a claim.  `theorem_bound` is the paper's closed-form
+first-hit horizon for each kind.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import iv
+from mpmath.libmp import from_man_exp, round_ceiling, round_floor
 
 from .certified import (
     DEFAULT_PRECISION,
@@ -30,12 +40,13 @@ from .certified import (
     ceil_sup,
     hull,
     inf,
+    ln_base,
     sup,
     working_precision,
 )
 from .digits import check_digit_domain
 from .engines import SequenceKind
-from .framework import FrameworkParams, main_term
+from .framework import FrameworkParams, model_value
 
 MIN_CONSTANT_PRECISION = 128
 
@@ -110,12 +121,14 @@ def eval_constants(precision: int = DEFAULT_PRECISION) -> Constants:
     return consts
 
 
-_PARAMS_CACHE: dict[tuple[SequenceKind, int, int], FrameworkParams] = {}
+_PARAMS_CACHE: dict[tuple[SequenceKind, int, int], tuple[FrameworkParams, Fraction]] = {}
 
 
-def _instantiate(kind: SequenceKind, base: int, precision: int | None) -> FrameworkParams:
-    """Growth-model coefficients of log_b of `kind`, cached per (kind, base,
-    precision); every caller shares the returned object."""
+def _instantiate(
+    kind: SequenceKind, base: int, precision: int | None
+) -> tuple[FrameworkParams, Fraction]:
+    """Growth-model coefficients of log_b of `kind` and its exact theta,
+    cached per (kind, base, precision); every caller shares the result."""
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
     prec = precision or DEFAULT_PRECISION
@@ -124,38 +137,40 @@ def _instantiate(kind: SequenceKind, base: int, precision: int | None) -> Framew
     if cached is not None:
         return cached
     with working_precision(prec):
-        lb = iv.log(iv.mpf(base))
+        lb = ln_base(base)
         if kind is SequenceKind.PARTITION:
+            theta = Fraction(1, 2)
             params = FrameworkParams(
                 c1=iv.pi * iv.sqrt(iv.mpf(24)) / 6 / lb,
                 c2=-1 / lb,
                 c3=iv.log(iv.sqrt(iv.mpf(3)) / 12) / lb,
                 c4=4 / lb,
-                theta=iv.mpf(1) / 2,
+                theta=theta,
                 K=P_VALID_FROM,
             )
         else:
+            theta = Fraction(2, 3)
             constants = eval_constants(max(prec, MIN_CONSTANT_PRECISION))
             params = FrameworkParams(
                 c1=3 * (constants.zeta3 / 4) ** (iv.mpf(1) / 3) / lb,
                 c2=-iv.mpf(25) / 36 / lb,
                 c3=iv.log(constants.pl_prefactor) / lb,
                 c4=200 / lb,
-                theta=iv.mpf(2) / 3,
+                theta=theta,
                 K=PL_VALID_FROM,
             )
-    _PARAMS_CACHE[key] = params
-    return params
+    _PARAMS_CACHE[key] = params, theta
+    return params, theta
 
 
 def instantiate_p(base: int, precision: int | None = None) -> FrameworkParams:
     """Growth-model coefficients of log_b p(n) (valid from K = 4)."""
-    return _instantiate(SequenceKind.PARTITION, base, precision)
+    return _instantiate(SequenceKind.PARTITION, base, precision)[0]
 
 
 def instantiate_pl(base: int, precision: int | None = None) -> FrameworkParams:
     """Growth-model coefficients of log_b PL(n) (valid from K = 2829)."""
-    return _instantiate(SequenceKind.PLANE_PARTITION, base, precision)
+    return _instantiate(SequenceKind.PLANE_PARTITION, base, precision)[0]
 
 
 def theorem_bound(kind: SequenceKind, base: int, t: int, precision: int | None = None) -> int:
@@ -172,7 +187,7 @@ def theorem_bound(kind: SequenceKind, base: int, t: int, precision: int | None =
     check_digit_domain(base, t)
     with working_precision(precision or DEFAULT_PRECISION):
         b = iv.mpf(base)
-        lb = iv.log(b)
+        lb = ln_base(base)
         if kind is SequenceKind.PARTITION:
             expr = PARTITION_BOUND_COEFF * b ** (2 * t) / lb**2
         else:
@@ -182,7 +197,9 @@ def theorem_bound(kind: SequenceKind, base: int, t: int, precision: int | None =
 
 @dataclass(eq=False)
 class LogEstimate:
-    """Certified statement |log_b(count(n)) - midpoint| <= envelope."""
+    """The claim |log_b(count(n)) - midpoint| <= envelope, with midpoint and
+    envelope certified enclosures; the claim itself is checked only on the
+    ranges the module docstring names."""
 
     n: int
     base: int
@@ -202,16 +219,35 @@ class LogEstimate:
         return worst <= inf(self.envelope)
 
 
+def _iroot_bracket(m: int, q: int) -> tuple[int, int]:
+    """Integers lo <= m^(1/q) <= hi with hi - lo <= 1, for m >= 1 and q in {2, 3}."""
+    if q == 2:
+        lo = math.isqrt(m)
+    else:  # Newton's method from above stops at floor(m^(1/3))
+        lo = 1 << -(-m.bit_length() // 3)
+        while (nxt := (2 * lo + m // (lo * lo)) // 3) < lo:
+            lo = nxt
+    return lo, lo + (lo**q != m)
+
+
 def _estimate(kind: SequenceKind, n: int, base: int, precision: int | None) -> LogEstimate:
-    params = _instantiate(kind, base, precision)
+    params, theta = _instantiate(kind, base, precision)
     if n < params.K:
         raise ValueError(f"estimate valid for n >= {params.K}, got {n}")
-    with working_precision(precision or DEFAULT_PRECISION):
+    prec = precision or DEFAULT_PRECISION
+    p, q = theta.numerator, theta.denominator
+    # n^theta * 2^prec lies between the integer q-th roots of n^p * 2^(q*prec)
+    lo, hi = _iroot_bracket(n**p << (q * prec), q)
+    with working_precision(prec):
+        power = iv.make_mpf((
+            from_man_exp(lo, -prec, prec, round_floor),
+            from_man_exp(hi, -prec, prec, round_ceiling),
+        ))
         return LogEstimate(
             n=n,
             base=base,
-            midpoint=main_term(params, n),
-            envelope=params.c4 * iv.mpf(n) ** -params.theta,
+            midpoint=model_value(params, n, power),
+            envelope=params.c4 / power,
             valid_from=params.K,
         )
 

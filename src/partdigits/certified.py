@@ -43,6 +43,18 @@ def as_interval(x: IntervalLike):
     return iv.mpf(x)
 
 
+_LN_BASE_CACHE: dict[tuple[int, int], object] = {}
+
+
+def ln_base(base: int):
+    """Enclosure of ln(base) at the working precision, cached per (base, precision)."""
+    key = (base, iv.prec)
+    cached = _LN_BASE_CACHE.get(key)
+    if cached is None:
+        cached = _LN_BASE_CACHE[key] = iv.log(iv.mpf(base))
+    return cached
+
+
 def inf(x) -> mpmath.mpf:
     """Exact lower endpoint of an interval, as an mpf."""
     return mp.make_mpf(as_interval(x)._mpi_[0])

@@ -16,12 +16,12 @@ import math
 from dataclasses import dataclass
 
 from mpmath import iv
+from mpmath.libmp import fone, from_int, mpf_add, mpf_div, mpf_lt, mpf_mul, round_ceiling, round_floor
 
 from .certified import (
     DEFAULT_PRECISION,
-    inf,
+    ln_base,
     membership_half_open,
-    sup,
     working_precision,
 )
 
@@ -151,8 +151,11 @@ def _log_int(value: int, base: int, precision: int):
     """(Enclosure of log_base(value), digit count of value) for an integer >= 1.
 
     Reads a leading window head = value // b^z of 3/4 of the working
-    `precision` in bits, so value lies in [head*b^z, (head+1)*b^z); endpoints
-    at powers of b are exact, so fractional parts never spill outside [0, 1].
+    `precision` in bits, so value lies in [head*b^z, (head+1)*b^z).  The one
+    logarithm taken is log_b(head); the upper end uses
+    log_b(head + 1) <= log_b(head) + 1/(head ln b), capped at w because
+    head + 1 <= b^w.  Endpoints at powers of b are exact, so fractional parts
+    never spill outside [0, 1].
     """
     d = digit_count(value, base)
     w = min(d, max(2, math.ceil(precision * 3 / 4 / math.log2(base))))
@@ -161,13 +164,21 @@ def _log_int(value: int, base: int, precision: int):
         head, rem = value >> z, value & ((1 << z) - 1)
     else:
         head, rem = divmod(value, base**z)
-    top = base**w
-    lb = iv.log(iv.mpf(base))
-    lo = iv.mpf(w - 1) if head * base == top else iv.log(iv.mpf(head)) / lb
-    if rem == 0:
-        return lo + z, d
-    hi = iv.mpf(w) if head + 1 == top else iv.log(iv.mpf(head + 1)) / lb
-    return iv.mpf([inf(lo), sup(hi)]) + z, d
+    lb = ln_base(base)
+    lo = iv.mpf(w - 1) if head * base == base**w else iv.log(head) / lb
+    # endpoints as raw mpf values, each operation rounded outward
+    lo_end, hi_end = lo._mpi_
+    if rem:
+        head_lb = mpf_mul(from_int(head), lb._mpi_[0], precision, round_floor)
+        step = mpf_div(fone, head_lb, precision, round_ceiling)
+        hi_end = mpf_add(hi_end, step, precision, round_ceiling)
+        if mpf_lt(from_int(w), hi_end):
+            hi_end = from_int(w)
+    shift = from_int(z)
+    return iv.make_mpf((
+        mpf_add(lo_end, shift, precision, round_floor),
+        mpf_add(hi_end, shift, precision, round_ceiling),
+    )), d
 
 
 def log_value_interval(value: int, base: int, precision: int | None = None):

@@ -118,8 +118,12 @@ def main_term(params: FrameworkParams, n: int):
     """Enclosure of c1*n^theta + c2*log n + c3 (the model without noise)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    nn = iv.mpf(n)
-    return params.c1 * nn**params.theta + params.c2 * iv.log(nn) + params.c3
+    return model_value(params, n, iv.mpf(n) ** params.theta)
+
+
+def model_value(params: FrameworkParams, n: int, power):
+    """c1*power + c2*log n + c3, for an enclosure `power` of n^theta."""
+    return params.c1 * power + params.c2 * iv.log(n) + params.c3
 
 
 def find_m_a_delta(g, K: int, a, delta, scan_limit: int, precision: int | None = None):

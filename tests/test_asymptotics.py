@@ -1,17 +1,27 @@
 """Certified constants and log estimates with explicit error envelopes."""
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from mpmath import iv, mpf
 
 from partdigits import (
     eval_constants,
+    instantiate_p,
+    instantiate_pl,
     log_p_estimate,
     log_pl_estimate,
     log_value_interval,
+    main_term,
     working_precision,
 )
-from partdigits.asymptotics import MIN_CONSTANT_PRECISION, P_VALID_FROM, PL_VALID_FROM
+from partdigits.asymptotics import (
+    MIN_CONSTANT_PRECISION,
+    P_VALID_FROM,
+    PL_VALID_FROM,
+    _iroot_bracket,
+)
 from partdigits.certified import inf, sup, width
 
 # 50-digit references computed once by scripts/compute_reference_constants.py
@@ -151,3 +161,41 @@ def test_log_doubling_inequality_spot():
             lhs = iv.log(1 + x)
             bound = 2 * abs(x)
             assert max(abs(inf(lhs)), abs(sup(lhs))) <= inf(bound) or k == 0
+
+
+@pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(2, 3)])
+def test_integer_root_bracket(theta):
+    # lo <= n^theta * 2^P <= hi in exact integers, one unit apart, and
+    # equal exactly when n is a perfect q-th power
+    p, q = theta.numerator, theta.denominator
+    squares_and_cubes = {k**2 for k in range(1, 400)} | {k**3 for k in range(1, 60)}
+    large_powers = {k**q for k in (10**6, 10**12 + 3, 2**100)}
+    ns = sorted(set(range(1, 20_001)) | squares_and_cubes | large_powers)
+    q_th_powers = {k**q for k in range(1, 400)} | large_powers  # every one in ns
+    for bits in (64, 192):
+        for n in ns:
+            m = n**p << (q * bits)
+            lo, hi = _iroot_bracket(m, q)
+            assert lo**q <= m <= hi**q, (n, bits)
+            assert hi - lo <= 1, (n, bits)
+            assert (lo == hi) == (n in q_th_powers), (n, bits)
+
+
+def test_estimates_match_the_interval_power_formula():
+    # the integer-root estimates agree with main_term and c4 * n^-theta
+    # computed by interval powers, and are at most twice as wide
+    grids = (
+        (log_p_estimate, instantiate_p, (4, 5, 10, 99, 100, 1000, 12_345, 50_000, 10**6, 10**12)),
+        (log_pl_estimate, instantiate_pl, (2829, 3000, 8000, 20_000, 10**6, 10**12)),
+    )
+    for estimate, instantiate, ns in grids:
+        for b in (2, 10, 16):
+            params = instantiate(b)
+            for n in ns:
+                est = estimate(n, b)
+                with working_precision(192):
+                    mid = main_term(params, n)
+                    env = params.c4 * iv.mpf(n) ** -params.theta
+                for ours, ref in ((est.midpoint, mid), (est.envelope, env)):
+                    assert inf(ours) <= sup(ref) and inf(ref) <= sup(ours), (n, b)
+                    assert width(ours) <= 2 * width(ref), (n, b)

@@ -1,6 +1,7 @@
 """Digit strings, leading-digit extraction, and fractional-log windows."""
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from partdigits import (
     log_value_interval,
     target_interval,
 )
-from partdigits.certified import inf, sup
+from partdigits.certified import inf, sup, working_precision
 
 
 def test_digit_string_validation():
@@ -220,3 +221,59 @@ def test_window_width_parameter():
     assert inf(wide) <= inf(mid) <= inf(tight) and sup(tight) <= sup(mid) <= sup(wide)
     for p, x in zip(precisions, (wide, mid, tight)):
         assert sup(x) - inf(x) < 2.0 ** (8 - 3 * p // 4)
+
+
+def _two_log_interval(value, base, precision):
+    """Oracle: the enclosure as computed with two logarithms, log_b(head)
+    and log_b(head + 1), over the same leading window."""
+    with working_precision(precision):
+        d = digit_count(value, base)
+        w = min(d, max(2, math.ceil(precision * 3 / 4 / math.log2(base))))
+        z = d - w
+        head, rem = divmod(value, base**z)
+        top = base**w
+        lb = iv.log(iv.mpf(base))
+        lo = iv.mpf(w - 1) if head * base == top else iv.log(iv.mpf(head)) / lb
+        if rem == 0:
+            return lo + z
+        hi = iv.mpf(w) if head + 1 == top else iv.log(iv.mpf(head + 1)) / lb
+        return iv.mpf([inf(lo), sup(hi)]) + z
+
+
+def _log_cases(base, precision, rng):
+    """Powers of the base and their neighbours, windows that end at b^w,
+    values with rem == 0 or rem at either end, and random 50-600 digit
+    values.  The structured values stay below about 2^(1.7P), so that a
+    2P-bit enclosure separates them from the exact endpoints near them."""
+    w = max(2, math.ceil(precision * 3 / 4 / math.log2(base)))
+    values = [1]
+    for k in (1, 3, w - 1, w, w + 1, 2 * w):
+        values += [base**k, base**k - 1, base**k + 1]
+    for z in (1, w // 4 + 1, w // 2 + 1):  # the last puts the ends within an ulp
+        for _ in range(16):
+            head = rng.randrange(base ** (w - 1), base**w)
+            values += [head * base**z, head * base**z + 1, (head + 1) * base**z - 1]
+    values += [(base**w - 1) * base**z for z in (1, 5)]  # head + 1 == top, rem == 0
+    for _ in range(12):
+        digits = rng.randint(50, 600)
+        values.append(rng.randrange(10 ** (digits - 1), 10**digits))
+    return [v for v in values if v >= 1]
+
+
+@pytest.mark.parametrize("base", [2, 3, 10, 16, 36])
+@pytest.mark.parametrize("precision", [64, 192])
+def test_log_value_interval_against_two_log_oracle(base, precision):
+    rng = random.Random(1000 * base + precision)
+    for value in _log_cases(base, precision, rng):
+        x = log_value_interval(value, base, precision)
+        oracle = _two_log_interval(value, base, precision)
+        with working_precision(2 * precision):
+            ref = iv.log(iv.mpf(value)) / iv.log(iv.mpf(base))
+        if inf(x) == sup(x):  # exact: value is a power of the base
+            assert inf(ref) <= inf(x) <= sup(ref), value
+        else:
+            assert inf(x) <= inf(ref) and sup(ref) <= sup(x), value
+        assert inf(x) <= sup(oracle) and inf(oracle) <= sup(x), value
+        assert sup(x) - inf(x) <= 2 * (sup(oracle) - inf(oracle)), value
+        fr = frac_log(value, base, precision)
+        assert 0 <= inf(fr) and sup(fr) <= 1, value
