@@ -50,6 +50,9 @@ def _grid():
     for _ in range(2):  # builds the pl cache, then reads it
         yield ("census", "--kind", "pl", "--base", "10", "--t", "1", "--limit", "300",
                "--cache", CACHE)
+    # extends the loaded pl cache across the tile step at 512
+    yield ("census", "--kind", "pl", "--base", "10", "--t", "1", "--limit", "700",
+           "--cache", CACHE)
     yield ("selftest",)
     # usage errors: each exits 2 with its message on stderr
     yield ("search", "--kind", "p", "--base", "2", "--digits", "1")

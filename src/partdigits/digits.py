@@ -32,26 +32,21 @@ _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 class DigitString:
     """A t-digit base-b string with a nonzero leading digit.
 
-    Valid digit strings have base >= 2, every digit in [0, base), a first
-    digit != 0, and (for base 2) at least two digits: the one-digit binary
-    string "1" matches every positive integer, so it is excluded from the
-    domain.
+    Valid digit strings have a (base, t) in the domain of
+    check_digit_domain (base 2 needs two digits: the one-digit binary string
+    "1" matches every positive integer), every digit in [0, base) and a
+    first digit != 0.
     """
 
     base: int
     digits: tuple[int, ...]
 
     def __post_init__(self):
-        if self.base < 2:
-            raise ValueError(f"base must be >= 2, got {self.base}")
-        if not self.digits:
-            raise ValueError("digit string must be nonempty")
+        check_digit_domain(self.base, len(self.digits))
         if any(not (0 <= d < self.base) for d in self.digits):
             raise ValueError(f"digits {self.digits} out of range for base {self.base}")
         if self.digits[0] == 0:
             raise ValueError("leading digit must be nonzero")
-        if self.base == 2 and len(self.digits) < 2:
-            raise ValueError("base 2 requires at least two digits")
 
     @property
     def t(self) -> int:

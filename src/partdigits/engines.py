@@ -30,16 +30,19 @@ after the other).
 Tables grow lazily in chunks and account their memory against a byte
 budget; extension aborts with ResourceLimitError rather than thrash.
 
-A table saves to a cache file (format version 2): a header with the
-entry count and the entries' estimated bytes, one uint32 length per
-entry, the records, and a SHA-256 digest of everything before it, so a
-flipped bit anywhere is refused on load.  Loading checks the digest and
-the last entry's recurrence, charges the budget for every entry at once,
-and keeps the file's bytes; records are parsed 1024 at a time when first
-read, so a run that reads a prefix of the cache parses only that prefix.
-A 24,001-entry p cache (1.2 MB) loads in 3.9 ms against 28 ms for the
-eager version 1 reader; parsing all of it afterwards takes 14 ms (best
-of 15 calls, same 2-core x86 VM, alternating with the old code).
+A table saves to a cache file (format version 3): a header with the
+entry count, the entries' estimated bytes and, for PL, the first pending
+target, the pending count and the pending sums' estimated bytes; one
+uint32 length per record; the records, entries first; and a SHA-256
+digest of everything before it, so a flipped bit anywhere is refused on
+load.  A loaded table is in the state the saved one was in.  Loading
+checks the digest, the last entry's recurrence and, for PL, the pending
+sum for the last entry, charges the budget for every record at once, and
+keeps the file's bytes: entries are parsed 1024 at a time when first
+read, the pending sums when the table extends.  A 24,001-entry p cache
+(1.2 MB, format version 2) loaded in 3.9 ms against 28 ms for the eager
+version 1 reader; parsing all of it afterwards took 14 ms (best of 15
+calls, same 2-core x86 VM, alternating with the old code).
 """
 from __future__ import annotations
 
@@ -58,10 +61,11 @@ BRUTE_FORCE_P_MAX = 40
 BRUTE_FORCE_PL_MAX = 12
 
 _CACHE_MAGIC = b"PDTB"
-_CACHE_VERSION = 2
-# magic, version, kind (1 = p, 2 = pl), reserved, entry count, and the
-# entries' estimated bytes (the sum of _int_size over them)
-_CACHE_HEADER = struct.Struct("<4sHBBQQ")
+_CACHE_VERSION = 3
+# magic, version, kind (1 = p, 2 = pl), reserved, entry count, the
+# entries' estimated bytes (the sum of _int_size over them), the first
+# pending target, the pending count and the pending sums' estimated bytes
+_CACHE_HEADER = struct.Struct("<4sHBBQQQQQ")
 _DIGEST_SIZE = 32  # SHA-256 of everything before it
 # A loaded table parses its records this many at a time, when first read.
 _PARSE_CHUNK = 1024
@@ -70,6 +74,8 @@ _PARSE_CHUNK = 1024
 # k < _LEAF are summed per n; the rest come from block products of length
 # _LEAF.._TILE.  _TILE bounds the pending lookahead (2*_TILE - 1 targets)
 # and the size of one product; both are powers of two, _LEAF <= _TILE.
+# The cache stores the pending sums, which depend on both: changing either
+# must bump _CACHE_VERSION.
 _LEAF = 256
 _TILE = 512
 
@@ -214,8 +220,9 @@ class SequenceTable:
     """Lazily extended exact table of p(n) or PL(n), n = 0..last_index.
 
     A table loaded from a cache keeps the file's bytes and parses its
-    records _PARSE_CHUNK at a time, when one of them is first read or
-    the table extends; until then `_values` holds None for them.
+    entries _PARSE_CHUNK at a time, when one of them is first read or
+    the table extends (until then `_values` holds None for them), and its
+    pending sums when it extends.
     """
 
     def __init__(self, kind: SequenceKind, memory_budget: int | None = None):
@@ -230,14 +237,14 @@ class SequenceTable:
         self._sigma2: list[int] = [0]  # index 0 unused
         self._pent: list[tuple[int, int]] = []  # (offset, sign), ascending
         # PL only: sums of the block products run so far, for targets
-        # _pending_from.. (None on a loaded table until it extends to a
-        # multiple of _LEAF).  Products run at multiples of _LEAF;
-        # _pending_from is the last of them.
-        self._pending: list[int] | None = []
+        # _pending_from..  Products run at multiples of _LEAF; _pending_from
+        # is the last of them.
+        self._pending: list[int] = []
         self._pending_from = 0
         self._pending_bytes = 0
-        # A loaded table's file contents and the offsets of its records
-        # (one past the last as well), until no chunk is left unparsed.
+        # A loaded table's file contents and the offsets of its records, the
+        # entries' and then the pending sums' (one past the last as well),
+        # until no chunk is left unparsed; the pending sums count as one.
         self._raw: bytes | None = None
         self._offsets: "array.array[int] | None" = None
         self._unparsed_chunks = 0
@@ -337,29 +344,19 @@ class SequenceTable:
         # Relaxed (online) convolution: PL(m) needs the terms with k < _LEAF
         # summed here, plus the block products already run, which finish
         # every term sigma2(k) * PL(m-k) with k >= _LEAF before m is reached.
-        # A loaded table has no pending sums: it sums all its terms per n up
-        # to its next multiple of _LEAF and rebuilds them there, so a short
-        # extension does not pay for the rebuild.
-        self._grow_sigma2(min(n, self.last_index + _LEAF))
+        self._grow_sigma2(min(n, _LEAF - 1))  # the products grow it further
         vals = self._values
         sig = self._sigma2
         for m in range(len(vals), n + 1):
-            if m % _LEAF == 0:
-                if self._pending is None:
-                    self._restore_pending()
-                if m > self._pending_from:
-                    self._grow_sigma2(m + _TILE - 1)
-                    self._set_pending(
-                        m,
-                        [(self._pending_from, self._pending), (m, self._block_products(m, m - 1))],
-                    )
-            if self._pending is None:
-                acc = _convolve(sig, vals, m, m)
-            else:
-                acc = _convolve(sig, vals, m, _LEAF - 1)
-                i = m - self._pending_from
-                if i < len(self._pending):
-                    acc += self._pending[i]
+            if m % _LEAF == 0 and m > self._pending_from:
+                self._grow_sigma2(m + _TILE - 1)
+                self._set_pending(
+                    m, [(self._pending_from, self._pending), (m, self._block_products(m))]
+                )
+            acc = _convolve(sig, vals, m, _LEAF - 1)
+            i = m - self._pending_from
+            if i < len(self._pending):
+                acc += self._pending[i]
             q, r = divmod(acc, m)
             if r:
                 raise ArithmeticError(
@@ -368,30 +365,26 @@ class SequenceTable:
             self._charge(_int_size(q))
             vals.append(q)
 
-    def _block_products(self, m: int, beyond: int) -> list[int]:
+    def _block_products(self, m: int) -> list[int]:
         """Coefficients, for targets m, m+1, ..., of the block products run at m.
 
         At m, a multiple of _LEAF, the products are values[m-s:m] times
         sigma2[s:2s] for each s = _LEAF, 2*_LEAF, ..., _TILE dividing m,
         and, when _TILE divides m, the tiles values[m-k:m-k+_TILE] times
         sigma2[k:k+_TILE] for k = 2*_TILE, 3*_TILE, ..., m.  Together with
-        the per-n terms k < _LEAF they cover every (j, k) exactly once.
-        Products whose last target is at most `beyond` are left out.  All
-        products are Kronecker-packed with one slot width and summed
-        before a single unpacking.
+        the per-n terms k < _LEAF they cover every (j, k) exactly once.  All
+        products are Kronecker-packed with one slot width and summed before
+        a single unpacking.
         """
         vals = self._values
         sig = self._sigma2
         blocks = []  # (first value, first sigma2 entry, length)
         s = _LEAF
         while s <= _TILE and m % s == 0:
-            if m + 2 * s - 2 > beyond:
-                blocks.append((m - s, s, s))
+            blocks.append((m - s, s, s))
             s *= 2
-        if m % _TILE == 0 and m + 2 * _TILE - 2 > beyond:
+        if m % _TILE == 0:
             blocks.extend((m - k, k, _TILE) for k in range(2 * _TILE, m + 1, _TILE))
-        if not blocks:
-            return []
         # A coefficient sums at most m terms, each below PL(m-1) * 2(m+_TILE)^2
         # (PL is nondecreasing and sigma2(k) < zeta(2) k^2), so it is below
         # 2^bits, and 10^width >= 2^bits because 0.30103 > log10(2).
@@ -421,39 +414,24 @@ class SequenceTable:
         self._charge(nbytes - self._pending_bytes)
         self._pending, self._pending_from, self._pending_bytes = merged, start, nbytes
 
-    def _restore_pending(self) -> None:
-        """Rebuild the pending sums of a loaded table from its values.
-
-        The pending sums are a function of the values alone, so the cache
-        does not store them.
-
-        Only the products run at or before last_index that reach past it
-        are run again: those run at multiples of _LEAF above
-        last_index - 2*_TILE + 2.
-        """
-        n = self.last_index
-        last = n - n % _LEAF
-        self._grow_sigma2(last + _TILE - 1)
-        runs = range(last, max(n - 2 * _TILE + 2, 0), -_LEAF)
-        self._set_pending(last, [(m, self._block_products(m, n)) for m in runs])
-
     # -- cache ----------------------------------------------------------
 
     def save(self, path) -> None:
-        """Write the table to a cache file, format version 2.
+        """Write the table to a cache file, format version 3.
 
-        The file is the header, one uint32 record length per entry, the
-        records (each value's minimal little-endian bytes) and the SHA-256
-        digest of everything before it.  A loaded table parses its
-        remaining records first; the file is then encoded and hashed
-        _PARSE_CHUNK entries at a time.
+        The file is the header, one uint32 record length per entry and per
+        pending sum, the records (each value's minimal little-endian bytes,
+        the entries' and then the pending sums') and the SHA-256 digest of
+        everything before it.  A loaded table parses its remaining records
+        first; the file is then encoded and hashed _PARSE_CHUNK records at
+        a time.
         """
         import hashlib
 
         self._parse_all()
-        vals = self._values
+        records = self._values + self._pending
         kind_code = 1 if self.kind is SequenceKind.PARTITION else 2
-        chunks = range(0, len(vals), _PARSE_CHUNK)
+        chunks = range(0, len(records), _PARSE_CHUNK)
         digest = hashlib.sha256()
         with open(path, "wb") as fh:
 
@@ -462,14 +440,15 @@ class SequenceTable:
                 fh.write(blob)
 
             write(_CACHE_HEADER.pack(
-                _CACHE_MAGIC, _CACHE_VERSION, kind_code, 0, len(vals), self._entry_bytes
+                _CACHE_MAGIC, _CACHE_VERSION, kind_code, 0, len(self._values), self._entry_bytes,
+                self._pending_from, len(self._pending), self._pending_bytes,
             ))
             for lo in chunks:
-                chunk = vals[lo : lo + _PARSE_CHUNK]
+                chunk = records[lo : lo + _PARSE_CHUNK]
                 write(struct.pack(f"<{len(chunk)}I", *map(_payload_size, chunk)))
             for lo in chunks:
                 write(b"".join(
-                    [v.to_bytes(_payload_size(v), "little") for v in vals[lo : lo + _PARSE_CHUNK]]
+                    [v.to_bytes(_payload_size(v), "little") for v in records[lo : lo + _PARSE_CHUNK]]
                 ))
             fh.write(digest.digest())
 
@@ -480,11 +459,11 @@ class SequenceTable:
         memory_budget: int | None = None,
         expect_kind: SequenceKind | None = None,
     ) -> "SequenceTable":
-        """Load a cache file, verifying its digest and the last entry's recurrence.
+        """Load a cache file, verifying its digest and last entry (for PL, with its pending sum).
 
-        The records are parsed later, a chunk at a time, as they are read;
-        the budget is charged for all of them here, with the total that
-        the header stores.
+        The records are parsed later, as they are read: the entries a chunk
+        at a time, the pending sums when the table extends.  The budget is
+        charged for all of them here, with the totals that the header stores.
         """
         import hashlib
         from array import array
@@ -507,7 +486,8 @@ class SequenceTable:
             or hashlib.sha256(memoryview(data)[:body]).digest() != data[body:]
         ):
             raise CacheFormatError(f"{path}: checksum mismatch (corrupt or truncated file)")
-        _, _, kind_code, _, count, entry_bytes = _CACHE_HEADER.unpack_from(data)
+        (_, _, kind_code, _, count, entry_bytes, pending_from, pending_count,
+         pending_bytes) = _CACHE_HEADER.unpack_from(data)
         if kind_code not in (1, 2):
             raise CacheFormatError(f"{path}: unknown sequence kind {kind_code}")
         kind = SequenceKind.PARTITION if kind_code == 1 else SequenceKind.PLANE_PARTITION
@@ -517,7 +497,14 @@ class SequenceTable:
             )
         if count < 1:
             raise CacheFormatError(f"{path}: empty table")
-        first = _CACHE_HEADER.size + 4 * count  # the first record
+        last = count - 1
+        if kind is SequenceKind.PARTITION or last < _LEAF:  # no product run yet
+            pending_ok = pending_from == pending_count == pending_bytes == 0
+        else:  # the sums of the last run reach past the last entry
+            pending_ok = pending_from == last - last % _LEAF and pending_count > last % _LEAF
+        if not pending_ok:
+            raise CacheFormatError(f"{path}: pending sums do not fit a {count}-entry table")
+        first = _CACHE_HEADER.size + 4 * (count + pending_count)  # the first record
         if first > body:
             raise CacheFormatError(f"{path}: truncated record lengths")
         lengths = array("I", data[_CACHE_HEADER.size : first])
@@ -527,20 +514,20 @@ class SequenceTable:
         if offsets[-1] != body:
             raise CacheFormatError(f"{path}: record lengths do not match the records")
         table = cls(kind, memory_budget=memory_budget)
-        if entry_bytes > table.memory_budget:
+        if entry_bytes + pending_bytes > table.memory_budget:
             raise ResourceLimitError(f"{path}: cached table exceeds the memory budget")
         table._values = [None] * count
-        table._bytes = entry_bytes
+        table._bytes = entry_bytes + pending_bytes
+        table._pending_from, table._pending_bytes = pending_from, pending_bytes
         table._raw, table._offsets = data, offsets
-        table._unparsed_chunks = -(-count // _PARSE_CHUNK)
-        table._pending = None
+        table._unparsed_chunks = -(-count // _PARSE_CHUNK) + (1 if pending_count else 0)
         if table._record(0) != 1:
             raise CacheFormatError(f"{path}: entry 0 is {table._record(0)}, expected 1")
         table._verify_last_entry()
         return table
 
     def _record(self, n: int) -> int:
-        """Entry n of a loaded table, read from its record without parsing its chunk."""
+        """Record n of a loaded table (past last_index, a pending sum), read without parsing."""
         return int.from_bytes(self._raw[self._offsets[n] : self._offsets[n + 1]], "little")
 
     def _parse_chunk(self, n: int) -> None:
@@ -555,17 +542,23 @@ class SequenceTable:
         if not self._unparsed_chunks:
             self._raw = self._offsets = None
 
-    def _parse_all(self) -> None:
+    def _parse_all(self, pending: bool = True) -> None:
+        """Parse every record left: the entries', then (the last chunk) the pending sums'."""
         for lo in range(0, len(self._values), _PARSE_CHUNK):
             if self._values[lo] is None:
                 self._parse_chunk(lo)
+        if pending and self._unparsed_chunks:
+            first = len(self._values)
+            self._pending = [self._record(n) for n in range(first, len(self._offsets) - 1)]
+            self._unparsed_chunks, self._raw, self._offsets = 0, None, None
 
     def _verify_last_entry(self) -> None:
         """Recompute a loaded table's last entry from the entries before it.
 
         For p that reads the ~2 sqrt(2n/3) pentagonal predecessors from
         their records; the PL convolution reads every entry, so it parses
-        the whole table.
+        all of them.  A PL table from n = _LEAF on also checks its pending
+        sum for n: with the per-n terms below _LEAF it must make n * PL(n).
         """
         n = self.last_index
         if n < 1:
@@ -576,7 +569,7 @@ class SequenceTable:
             expected = sum(sign * record(n - g) for g, sign in self._pent if g <= n)
             actual = record(n)
         else:
-            self._parse_all()
+            self._parse_all(pending=False)
             vals = self._values
             self._grow_sigma2(n)
             expected, r = divmod(_convolve(self._sigma2, vals, n, n), n)
@@ -587,3 +580,9 @@ class SequenceTable:
             raise CacheFormatError(
                 f"corrupt cache: entry {n} fails its recurrence check"
             )
+        if self._pending_from:
+            stored = self._record(len(self._values) + n - self._pending_from)
+            if _convolve(self._sigma2, self._values, n, _LEAF - 1) + stored != n * actual:
+                raise CacheFormatError(
+                    f"corrupt cache: the pending sum for target {n} fails its check"
+                )

@@ -20,7 +20,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .asymptotics import theorem_bound
-from .certified import DEFAULT_PRECISION
 from .digits import (
     DigitString,
     TargetInterval,
@@ -29,14 +28,13 @@ from .digits import (
     digit_count,
     frac_log,
     leading_digits,
-    target_interval,
+    target_interval,  # not called here: bench/tracer.py wraps search.target_interval
 )
 from .engines import ResourceLimitError, SequenceKind, SequenceTable
 
 METHOD_EXACT = "exact"
 
 _GROWTH_CHUNK = 256
-_ESCALATION = (1, 2, 4)  # precision multipliers before the exact fallback
 
 
 @dataclass
@@ -67,18 +65,16 @@ def decide_membership(
 ) -> tuple[bool, bool]:
     """Does `value` start with target.f?  Returns (decision, used_exact_fallback).
 
-    Tries the certified fractional-log test at escalating precision; falls
-    back to exact digit extraction when every certified attempt straddles
-    a window endpoint (which happens exactly when value is within rounding
-    of f*b^z or (f+1)*b^z).
+    Runs the certified fractional-log test at `precision`, and falls back to
+    exact digit extraction when the enclosure straddles a window endpoint,
+    which happens when value is within rounding of f*b^z or (f+1)*b^z.  A
+    value at an endpoint itself straddles it at every precision, so the
+    test is not retried at a higher one.
     """
     f = target.f
-    for mult in _ESCALATION:
-        prec = (precision or DEFAULT_PRECISION) * mult
-        tgt = target if mult == 1 else target_interval(f, precision=prec)
-        decision = tgt.contains(frac_log(value, f.base, precision=prec))
-        if decision is not None:
-            return decision, False
+    decision = target.contains(frac_log(value, f.base, precision=precision))
+    if decision is not None:
+        return decision, False
     if digit_count(value, f.base) < f.t:
         return False, True
     return leading_digits(value, f.base, f.t) == f, True

@@ -1,6 +1,7 @@
 """Exact-engine tests: recurrences vs enumeration oracles, growth, cache."""
 from __future__ import annotations
 
+import hashlib
 import random
 import struct
 import sys
@@ -16,7 +17,7 @@ from partdigits import (
     brute_force_pl,
     sigma2,
 )
-from partdigits.engines import _EXACT, _convolve, _pack, _unpack
+from partdigits.engines import _CACHE_VERSION, _EXACT, _LEAF, _TILE, _convolve, _pack, _unpack
 
 ORACLE_PL_MAX = 3000
 
@@ -120,7 +121,7 @@ def test_plane_blocks_match_per_n_convolution(pl_oracle, tmp_path):
     for n in (1, 127, 128, 255, 256, 257, 511, 513, 1024, 1537, ORACLE_PL_MAX):
         table.extend(n)
         assert [table[m] for m in range(n + 1)] == pl_oracle[: n + 1], n
-    # a loaded table rebuilds its pending block sums from its values
+    # a loaded table extends from the pending block sums stored with it
     for last in (200, 1023, 2049):
         path = tmp_path / f"pl{last}.table"
         SequenceTable(SequenceKind.PLANE_PARTITION).extend(last).save(path)
@@ -260,44 +261,108 @@ def test_cache_budget_enforced_on_load(tmp_path):
         SequenceTable.load(path, memory_budget=1024)
 
 
-# Cache format version 2: magic, version, kind, reserved, entry count and
-# the entries' estimated bytes; a uint32 length per entry; the records;
-# the SHA-256 digest of everything before it.
-V2_HEADER = "<4sHBBQQ"
+# Cache format version 3: magic, version, kind, reserved, entry count, the
+# entries' estimated bytes, the first pending target, the pending count and
+# the pending sums' estimated bytes; a uint32 length per entry and per
+# pending sum; the records, entries first; the SHA-256 digest of everything
+# before it.
+V3_HEADER = "<4sHBBQQQQQ"
 
 
-def _record_span(raw: bytes, n: int) -> tuple[int, int]:
-    """Start and end, in a version 2 cache file, of entry n's record."""
-    header = struct.calcsize(V2_HEADER)
-    count = struct.unpack_from(V2_HEADER, raw)[4]
-    lengths = struct.unpack_from(f"<{count}I", raw, header)
-    start = header + 4 * count + sum(lengths[:n])
-    return start, start + lengths[n]
+def _record_span(raw: bytes, i: int) -> tuple[int, int]:
+    """Start and end, in a version 3 cache file, of record i.
+
+    Records 0..count-1 are the entries, the ones after them the pending sums.
+    """
+    header = struct.calcsize(V3_HEADER)
+    fields = struct.unpack_from(V3_HEADER, raw)
+    records = fields[4] + fields[7]
+    lengths = struct.unpack_from(f"<{records}I", raw, header)
+    start = header + 4 * records + sum(lengths[:i])
+    return start, start + lengths[i]
+
+
+def _redigest(raw: bytearray) -> bytearray:
+    raw[-32:] = hashlib.sha256(raw[:-32]).digest()
+    return raw
 
 
 @pytest.mark.parametrize("kind, count", [("p", 500), ("pl", 300)])
 def test_cache_refuses_a_flipped_bit_in_the_middle(tmp_path, kind, count):
     path = tmp_path / f"{kind}.table"
     SequenceTable(SequenceKind(kind)).extend(count - 1).save(path)
-    raw = bytearray(path.read_bytes())
-    start, end = _record_span(raw, count // 2)
-    assert end > start
-    raw[start] ^= 0x04
-    path.write_bytes(raw)
-    with pytest.raises(CacheFormatError):
-        SequenceTable.load(path)
+    saved = path.read_bytes()
+    # an entry's record, and for pl one of the pending sums stored after them
+    records = [count // 2] + ([count + 200] if kind == "pl" else [])
+    for i in records:
+        raw = bytearray(saved)
+        start, end = _record_span(raw, i)
+        assert end > start
+        raw[start] ^= 0x04
+        path.write_bytes(raw)
+        with pytest.raises(CacheFormatError, match="checksum"):
+            SequenceTable.load(path)
 
 
 def test_cache_refuses_version_1(tmp_path):
-    # the unchecked format before digests: header, then (length, payload) per entry
     values = [1, 1, 2, 3, 5]
-    blob = struct.pack("<4sHBBQ", b"PDTB", 1, 1, 0, len(values))
+    # the unchecked format before digests: header, then (length, payload) per entry
+    v1 = struct.pack("<4sHBBQ", b"PDTB", 1, 1, 0, len(values))
     for v in values:
-        blob += struct.pack("<I", 1) + v.to_bytes(1, "little")
+        v1 += struct.pack("<I", 1) + v.to_bytes(1, "little")
+    # version 2, without pending sums: header with the entries' estimated
+    # bytes, a uint32 length per entry, the records, the digest
+    v2 = struct.pack("<4sHBBQQ", b"PDTB", 2, 1, 0, len(values), 5 * (sys.getsizeof(1) + 8))
+    v2 += struct.pack(f"<{len(values)}I", *[1] * len(values)) + bytes(values)
+    v2 += hashlib.sha256(v2).digest()
     path = tmp_path / "p.table"
-    path.write_bytes(blob)
-    with pytest.raises(CacheFormatError, match="version 1.*delete the file"):
+    for version, blob in ((1, v1), (2, v2)):
+        path.write_bytes(blob)
+        with pytest.raises(CacheFormatError, match=f"version {version}.*delete the file"):
+            SequenceTable.load(path)
+
+
+def test_cache_stores_pending_sums_parsed_on_extension(tmp_path):
+    path = tmp_path / "pl.table"
+    table = SequenceTable(SequenceKind.PLANE_PARTITION).extend(299)
+    table.save(path)
+    fields = struct.unpack_from(V3_HEADER, path.read_bytes())
+    assert fields[6:] == (256, len(table._pending), table._pending_bytes)
+    loaded = SequenceTable.load(path)
+    # the load parses every entry to check the last one, but no pending sum
+    assert loaded._pending == [] and loaded._unparsed_chunks == 1
+    sieve = 299 * (sys.getsizeof(0) + 8)  # sigma2(1..299), read by that check
+    assert loaded.estimated_bytes == table._entry_bytes + table._pending_bytes + sieve
+    loaded.extend(300)
+    assert loaded._pending == table._pending and loaded._raw is None
+
+
+def test_cache_refuses_a_wrong_pending_sum_for_the_last_entry(tmp_path):
+    # files whose digest matches their bytes, and whose last entry passes its
+    # recurrence check, but whose stored sum for that entry is off by one,
+    # or whose first pending target is not the last product run
+    path = tmp_path / "pl.table"
+    SequenceTable(SequenceKind.PLANE_PARTITION).extend(299).save(path)
+    raw = bytearray(path.read_bytes())
+    path.write_bytes(_redigest(bytearray(raw)))
+    SequenceTable.load(path)  # re-digesting alone is accepted
+    moved = bytearray(raw)
+    struct.pack_into("<Q", moved, struct.calcsize(V3_HEADER) - 24, 0)  # _pending_from
+    path.write_bytes(_redigest(moved))
+    with pytest.raises(CacheFormatError, match="pending sums do not fit"):
         SequenceTable.load(path)
+    start, _ = _record_span(raw, 300 + 299 - 256)  # the sum for target 299
+    assert raw[start] < 0xFF
+    raw[start] += 1
+    path.write_bytes(_redigest(raw))
+    with pytest.raises(CacheFormatError, match="pending sum for target 299"):
+        SequenceTable.load(path)
+
+
+def test_tile_scheme_is_pinned_to_the_cache_version():
+    # the cache stores pending sums laid out by the tile scheme: a change to
+    # _LEAF or _TILE must come with a new _CACHE_VERSION, and this test with it
+    assert (_LEAF, _TILE, _CACHE_VERSION) == (256, 512, 3)
 
 
 def test_loaded_table_parses_entries_on_first_use(tmp_path):
@@ -338,22 +403,23 @@ def test_loaded_table_extends_like_a_fresh_one(tmp_path, kind, lasts):
         loaded[last // 2]  # a chunk parsed before the extension, the rest by it
         loaded.extend(stop)
         assert [loaded[n] for n in range(stop + 1)] == [fresh[n] for n in range(stop + 1)], last
-        if kind == "p":
-            assert loaded.estimated_bytes == fresh.estimated_bytes, last
+        assert loaded.estimated_bytes == fresh.estimated_bytes, last
 
 
 def test_loaded_budget_is_exact_and_charged_up_front(tmp_path):
-    # the header stores the entries' estimated bytes, without the sieve and
-    # pending sums that a pl table is charged for next to them
+    # the header stores the entries' and the pending sums' estimated bytes,
+    # without the sieve that a pl table is charged for next to them
     pl = SequenceTable(SequenceKind.PLANE_PARTITION).extend(1100)
     pl.save(tmp_path / "pl")
     pl_entries = sum(sys.getsizeof(pl[n]) + 8 for n in range(1101))
-    assert struct.unpack_from(V2_HEADER, (tmp_path / "pl").read_bytes())[5] == pl_entries
+    pl_pending = sum(sys.getsizeof(v) + 8 for v in pl._pending)
+    fields = struct.unpack_from(V3_HEADER, (tmp_path / "pl").read_bytes())
+    assert (fields[5], fields[8]) == (pl_entries, pl_pending)
     path = tmp_path / "p"
     table = SequenceTable(SequenceKind.PARTITION).extend(2500)
     table.save(path)
     entries = sum(sys.getsizeof(table[n]) + 8 for n in range(2501))
-    assert struct.unpack_from(V2_HEADER, path.read_bytes())[5] == entries
+    assert struct.unpack_from(V3_HEADER, path.read_bytes())[5] == entries
     assert SequenceTable.load(path).estimated_bytes == entries
     with pytest.raises(ResourceLimitError):
         SequenceTable.load(path, memory_budget=entries - 1)
