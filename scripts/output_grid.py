@@ -54,6 +54,10 @@ def _grid():
     yield ("census", "--kind", "pl", "--base", "10", "--t", "1", "--limit", "700",
            "--cache", CACHE)
     yield ("selftest",)
+    # budget refusals: each exits 3 with the n it stopped at on stderr
+    yield ("verify", "--kind", "p", "--base", "10", "--t", "3", "--memory-budget", "1M")
+    yield ("census", "--kind", "pl", "--base", "10", "--t", "1", "--limit", "3000",
+           "--memory-budget", "256K")
     # usage errors: each exits 2 with its message on stderr
     yield ("search", "--kind", "p", "--base", "2", "--digits", "1")
     yield ("bound", "--kind", "p", "--base", "2", "--t", "1")

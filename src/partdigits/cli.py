@@ -276,10 +276,7 @@ def _cmd_search(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"limit must be >= 0, got {args.limit}")
     table, path, loaded = _load_table(args, kind)
-    result = find_min_n(
-        kind, f, args.limit, table=table, precision=args.precision,
-        memory_budget=args.memory_budget,
-    )
+    result = find_min_n(kind, f, args.limit, table=table, precision=args.precision)
     _save_table(table, path, loaded)
     if result is None:
         horizon = args.limit if args.limit is not None else theorem_bound(
@@ -354,10 +351,7 @@ def _cmd_bound(args) -> int:
 def _cmd_verify(args) -> int:
     kind = SequenceKind(args.kind)
     table, path, loaded = _load_table(args, kind)
-    report = verify_theorem(
-        kind, args.base, args.t, precision=args.precision,
-        memory_budget=args.memory_budget, table=table,
-    )
+    report = verify_theorem(kind, args.base, args.t, precision=args.precision, table=table)
     _save_table(table, path, loaded)
     results = report.results
     text = chain(
@@ -377,10 +371,7 @@ def _cmd_census(args) -> int:
     if args.limit < 0:
         raise ValueError(f"census size must be >= 0, got {args.limit}")
     table, path, loaded = _load_table(args, kind)
-    census = digit_census(
-        kind, args.base, args.t, args.limit, table=table,
-        memory_budget=args.memory_budget,
-    )
+    census = digit_census(kind, args.base, args.t, args.limit, table=table)
     _save_table(table, path, loaded)
     counts = [(f.text(), c) for f, c in census.items()]
     total = sum(census.values())

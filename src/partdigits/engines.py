@@ -50,7 +50,7 @@ import struct
 import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from enum import Enum
-from itertools import accumulate, islice
+from itertools import accumulate, islice, zip_longest
 from math import isqrt
 from operator import mul
 from pathlib import Path
@@ -236,11 +236,10 @@ class SequenceTable:
         self._bytes = _int_size(1)
         self._sigma2: list[int] = [0]  # index 0 unused
         self._pent: list[tuple[int, int]] = []  # (offset, sign), ascending
-        # PL only: sums of the block products run so far, for targets
-        # _pending_from..  Products run at multiples of _LEAF; _pending_from
-        # is the last of them.
+        # PL only: sums of the block products run so far, for the targets
+        # from the last multiple of _LEAF at or below last_index on (none
+        # below _LEAF), so the sum for target n is _pending[n % _LEAF].
         self._pending: list[int] = []
-        self._pending_from = 0
         self._pending_bytes = 0
         # A loaded table's file contents and the offsets of its records, the
         # entries' and then the pending sums' (one past the last as well),
@@ -348,22 +347,28 @@ class SequenceTable:
         vals = self._values
         sig = self._sigma2
         for m in range(len(vals), n + 1):
-            if m % _LEAF == 0 and m > self._pending_from:
+            # PL(m), and at a multiple of _LEAF the products run there merged
+            # into the sums not yet consumed, are charged and stored together:
+            # a refusal leaves the table as it was before m.
+            pending, pending_bytes = self._pending, self._pending_bytes
+            if m % _LEAF == 0:
                 self._grow_sigma2(m + _TILE - 1)
-                self._set_pending(
-                    m, [(self._pending_from, self._pending), (m, self._block_products(m))]
-                )
+                tail = islice(pending, _LEAF, None)  # the targets from m on
+                pending = [
+                    a + b for a, b in zip_longest(tail, self._block_products(m), fillvalue=0)
+                ]
+                pending_bytes = sum(map(_int_size, pending))
             acc = _convolve(sig, vals, m, _LEAF - 1)
-            i = m - self._pending_from
-            if i < len(self._pending):
-                acc += self._pending[i]
+            if pending:
+                acc += pending[m % _LEAF]
             q, r = divmod(acc, m)
             if r:
                 raise ArithmeticError(
                     f"plane-partition convolution not divisible at n = {m}"
                 )
-            self._charge(_int_size(q))
+            self._charge(_int_size(q) + pending_bytes - self._pending_bytes)
             vals.append(q)
+            self._pending, self._pending_bytes = pending, pending_bytes
 
     def _block_products(self, m: int) -> list[int]:
         """Coefficients, for targets m, m+1, ..., of the block products run at m.
@@ -396,24 +401,6 @@ class SequenceTable:
             total = _EXACT.fma(packed, _pack(sig[k : k + size], width), total)
         return _unpack(total, width)
 
-    def _set_pending(self, start: int, parts: list[tuple[int, list[int]]]) -> None:
-        """Make the pending sums those of `parts`, (first target, sums) pairs, from start on.
-
-        The new list is charged against the budget before it replaces the
-        old one, so a refusal leaves the table as it was.
-        """
-        merged: list[int] = []
-        for first, sums in parts:
-            off = first - start
-            if off < 0:
-                sums, off = sums[-off:], 0
-            merged.extend([0] * (off + len(sums) - len(merged)))
-            for i, v in enumerate(sums, off):
-                merged[i] += v
-        nbytes = sum(map(_int_size, merged))
-        self._charge(nbytes - self._pending_bytes)
-        self._pending, self._pending_from, self._pending_bytes = merged, start, nbytes
-
     # -- cache ----------------------------------------------------------
 
     def save(self, path) -> None:
@@ -439,9 +426,11 @@ class SequenceTable:
                 digest.update(blob)
                 fh.write(blob)
 
+            last = self.last_index
             write(_CACHE_HEADER.pack(
                 _CACHE_MAGIC, _CACHE_VERSION, kind_code, 0, len(self._values), self._entry_bytes,
-                self._pending_from, len(self._pending), self._pending_bytes,
+                last - last % _LEAF if self._pending else 0, len(self._pending),
+                self._pending_bytes,
             ))
             for lo in chunks:
                 chunk = records[lo : lo + _PARSE_CHUNK]
@@ -518,7 +507,7 @@ class SequenceTable:
             raise ResourceLimitError(f"{path}: cached table exceeds the memory budget")
         table._values = [None] * count
         table._bytes = entry_bytes + pending_bytes
-        table._pending_from, table._pending_bytes = pending_from, pending_bytes
+        table._pending_bytes = pending_bytes
         table._raw, table._offsets = data, offsets
         table._unparsed_chunks = -(-count // _PARSE_CHUNK) + (1 if pending_count else 0)
         if table._record(0) != 1:
@@ -580,8 +569,8 @@ class SequenceTable:
             raise CacheFormatError(
                 f"corrupt cache: entry {n} fails its recurrence check"
             )
-        if self._pending_from:
-            stored = self._record(len(self._values) + n - self._pending_from)
+        if self.kind is SequenceKind.PLANE_PARTITION and n >= _LEAF:
+            stored = self._record(len(self._values) + n % _LEAF)
             if _convolve(self._sigma2, self._values, n, _LEAF - 1) + stored != n * actual:
                 raise CacheFormatError(
                     f"corrupt cache: the pending sum for target {n} fails its check"

@@ -65,18 +65,21 @@ def decide_membership(
 ) -> tuple[bool, bool]:
     """Does `value` start with target.f?  Returns (decision, used_exact_fallback).
 
-    Runs the certified fractional-log test at `precision`, and falls back to
-    exact digit extraction when the enclosure straddles a window endpoint,
-    which happens when value is within rounding of f*b^z or (f+1)*b^z.  A
-    value at an endpoint itself straddles it at every precision, so the
-    test is not retried at a higher one.
+    A value below b^(t-1) has fewer than t digits and is decided exactly:
+    a power of b there has its log on the window's endpoint for f = b^(t-1),
+    and the log test would count it in.  Otherwise runs the certified
+    fractional-log test at `precision`, and falls back to exact digit
+    extraction when the enclosure straddles a window endpoint, which
+    happens when value is within rounding of f*b^z or (f+1)*b^z.  A value
+    at an endpoint itself straddles it at every precision, so the test is
+    not retried at a higher one.
     """
     f = target.f
+    if value < f.base ** (f.t - 1):
+        return False, True
     decision = target.contains(frac_log(value, f.base, precision=precision))
     if decision is not None:
         return decision, False
-    if digit_count(value, f.base) < f.t:
-        return False, True
     return leading_digits(value, f.base, f.t) == f, True
 
 
@@ -116,11 +119,9 @@ def scan_heads(table: SequenceTable, base: int, t: int, start: int, stop: int):
         yield n, head
 
 
-def _table_for(
-    kind: SequenceKind, table: SequenceTable | None, memory_budget: int | None
-) -> SequenceTable:
+def _table_for(kind: SequenceKind, table: SequenceTable | None) -> SequenceTable:
     if table is None:
-        return SequenceTable(kind, memory_budget=memory_budget)
+        return SequenceTable(kind)
     if table.kind is not kind:
         raise ValueError(f"table holds {table.kind.value}, requested {kind.value}")
     return table
@@ -154,7 +155,6 @@ def find_min_n(
     *,
     table: SequenceTable | None = None,
     precision: int | None = None,
-    memory_budget: int | None = None,
 ) -> SearchResult | None:
     """Smallest n (from 0) with the table value leading with f, or None.
 
@@ -168,7 +168,7 @@ def find_min_n(
         limit = bound
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
-    table = _table_for(kind, table, memory_budget)
+    table = _table_for(kind, table)
     target = f.value
     for n, head in scan_heads(table, f.base, f.t, 0, limit):
         if head == target:
@@ -182,19 +182,17 @@ def verify_theorem(
     t: int,
     *,
     precision: int | None = None,
-    memory_budget: int | None = None,
     table: SequenceTable | None = None,
 ) -> VerificationReport:
     """First hit for every t-digit base-b string, checked against the bound.
 
     Equivalent to running find_min_n per f over one shared table, done as a
-    single scan that stops once every digit string has been seen.  The
-    memory budget is charged as the table grows.
+    single scan that stops once every digit string has been seen.
     """
     kind = SequenceKind(kind)
     started = time.monotonic()
     bound = theorem_bound(kind, base, t, precision)
-    table = _table_for(kind, table, memory_budget)
+    table = _table_for(kind, table)
     strings = all_digit_strings(base, t)
     first_hit: dict[int, int] = {}
     for n, head in scan_heads(table, base, t, 0, bound):
@@ -223,7 +221,6 @@ def digit_census(
     N: int,
     *,
     table: SequenceTable | None = None,
-    memory_budget: int | None = None,
 ) -> dict[DigitString, int]:
     """Leading-digit frequency over table entries n = 1..N.
 
@@ -236,7 +233,7 @@ def digit_census(
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
     check_digit_domain(base, t)
-    table = _table_for(kind, table, memory_budget)
+    table = _table_for(kind, table)
     counts = Counter(head for _, head in scan_heads(table, base, t, 1, N))
     return {
         DigitString.from_value(head, base, t): counts[head] for head in sorted(counts)

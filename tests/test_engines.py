@@ -129,17 +129,23 @@ def test_plane_blocks_match_per_n_convolution(pl_oracle, tmp_path):
         assert [loaded[m] for m in range(ORACLE_PL_MAX + 1)] == pl_oracle, last
 
 
-def test_plane_budget_refusal_keeps_state(pl_oracle):
-    # the block products run at n = 1024 are charged before PL(1024): a
-    # budget that refuses them, and one that holds them but not PL(1024),
-    # must both leave a table that extends correctly once the budget allows
+def test_plane_budget_refusal_keeps_state(pl_oracle, tmp_path):
+    # the block products run at n = 1024 are charged with PL(1024), after
+    # the sieve they read: a budget that refuses the sieve, and one that
+    # holds it but not PL(1024) with the products, must both leave a table
+    # that extends correctly once the budget allows, and that saves to a
+    # cache which loads and extends correctly
     whole = SequenceTable(SequenceKind.PLANE_PARTITION).extend(1024)
     table = SequenceTable(SequenceKind.PLANE_PARTITION).extend(1023)
+    path = tmp_path / "pl.table"
     for budget in (table.estimated_bytes + 1, whole.estimated_bytes - 1):
         table.memory_budget = budget
         with pytest.raises(ResourceLimitError):
             table.extend(1024)
         assert table.last_index == 1023
+        table.save(path)
+        loaded = SequenceTable.load(path).extend(ORACLE_PL_MAX)
+        assert [loaded[m] for m in range(ORACLE_PL_MAX + 1)] == pl_oracle, budget
     table.memory_budget = whole.memory_budget
     table.extend(ORACLE_PL_MAX)
     assert [table[m] for m in range(ORACLE_PL_MAX + 1)] == pl_oracle
@@ -356,6 +362,53 @@ def test_cache_refuses_a_wrong_pending_sum_for_the_last_entry(tmp_path):
     raw[start] += 1
     path.write_bytes(_redigest(raw))
     with pytest.raises(CacheFormatError, match="pending sum for target 299"):
+        SequenceTable.load(path)
+
+
+def _flip_low_bit(i):
+    def edit(raw: bytearray) -> None:
+        start, _ = _record_span(raw, i)
+        raw[start] ^= 0x01
+
+    return edit
+
+
+def _set_header_field(i, value):
+    def edit(raw: bytearray) -> None:
+        fields = list(struct.unpack_from(V3_HEADER, raw))
+        fields[i] = value
+        struct.pack_into(V3_HEADER, raw, 0, *fields)
+
+    return edit
+
+
+def _set_first_length(raw: bytearray) -> None:
+    struct.pack_into("<I", raw, struct.calcsize(V3_HEADER), 2)
+
+
+@pytest.mark.parametrize(
+    "kind, last, edit, message",
+    [
+        ("p", 50, _flip_low_bit(50), "entry 50 fails its recurrence check"),
+        ("pl", 100, _flip_low_bit(100), "entry 100 fails its recurrence check"),
+        ("pl", 100, _flip_low_bit(99), "convolution remainder at n = 100"),
+        ("p", 50, _set_header_field(2, 3), "unknown sequence kind 3"),
+        ("p", 50, _set_header_field(4, 0), "empty table"),
+        ("p", 50, _set_header_field(4, 10**6), "truncated record lengths"),
+        ("p", 50, _set_first_length, "record lengths do not match the records"),
+        ("p", 50, _flip_low_bit(0), "entry 0 is 0, expected 1"),
+    ],
+    ids=["p-recurrence", "pl-recurrence", "pl-remainder", "kind", "empty",
+         "truncated-lengths", "lengths-mismatch", "entry-0"],
+)
+def test_cache_refuses_a_redigested_file(tmp_path, kind, last, edit, message):
+    # files whose digest matches their bytes but whose contents do not hold
+    path = tmp_path / f"{kind}.table"
+    SequenceTable(SequenceKind(kind)).extend(last).save(path)
+    raw = bytearray(path.read_bytes())
+    edit(raw)
+    path.write_bytes(_redigest(raw))
+    with pytest.raises(CacheFormatError, match=message):
         SequenceTable.load(path)
 
 

@@ -46,6 +46,14 @@ def test_params_validation():
         FrameworkParams(**{**ok, "theta": 0.0})
     with pytest.raises(ValueError):
         FrameworkParams(**{**ok, "K": 0})
+    # c2 = 0 makes L1 zero, c4 = 0 makes L2 zero; the bound still follows
+    # 2*max(K, L1, L2 + 1, L3, L4), here 2*(900 + 1) and 2*225, rounded up
+    # from enclosures whose sups lie just above those integers
+    for zero, bound in (("c2", 1803), ("c4", 451)):
+        bounds = compute_bounds(FrameworkParams(**{**ok, zero: 0}), Fraction(1, 10))
+        assert sup(bounds.L1 if zero == "c2" else bounds.L2) == 0
+        top = 2 * max(ok["K"], sup(bounds.L1), sup(bounds.L2) + 1, sup(bounds.L3), sup(bounds.L4))
+        assert top <= bounds.bound == bound <= top + 1, zero
 
 
 def test_compute_bounds_partition_reference():
