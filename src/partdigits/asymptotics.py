@@ -27,21 +27,20 @@ first-hit horizon for each kind.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import iv
-from mpmath.libmp import from_man_exp, round_ceiling, round_floor
+from mpmath.libmp import from_man_exp, mpf_abs, mpf_le, mpf_sub, round_ceiling, round_floor
 
 from .certified import (
     DEFAULT_PRECISION,
     as_interval,
     ceil_sup,
     hull,
-    inf,
     ln_base,
-    sup,
     working_precision,
 )
 from .digits import check_digit_domain
@@ -90,18 +89,14 @@ class Constants:
     precision: int
 
 
-_CONSTANTS_CACHE: dict[int, Constants] = {}
-
-
+@functools.cache
 def eval_constants(precision: int = DEFAULT_PRECISION) -> Constants:
-    """Enclosures of zeta(3), zeta'(-1), and the PL prefactor B at >= 128 bits."""
+    """Enclosures of zeta(3), zeta'(-1), and the PL prefactor B at >= 128 bits,
+    cached per precision."""
     if precision < MIN_CONSTANT_PRECISION:
         raise ValueError(
             f"constants need at least {MIN_CONSTANT_PRECISION} bits, got {precision}"
         )
-    cached = _CONSTANTS_CACHE.get(precision)
-    if cached is not None:
-        return cached
     with working_precision(precision + 16):
         lo, hi = _zeta3_fraction_bracket(precision + 16)
         zeta3 = hull(as_interval(lo), as_interval(hi))
@@ -114,30 +109,19 @@ def eval_constants(precision: int = DEFAULT_PRECISION) -> Constants:
             * iv.mpf(2) ** (-iv.mpf(11) / 36)
             / iv.sqrt(3 * iv.pi)
         )
-        consts = Constants(
+        return Constants(
             zeta3=zeta3, zeta_prime_minus_one=zp, pl_prefactor=b, precision=precision
         )
-    _CONSTANTS_CACHE[precision] = consts
-    return consts
 
 
-_PARAMS_CACHE: dict[tuple[SequenceKind, int, int], tuple[FrameworkParams, Fraction]] = {}
-
-
-def _instantiate(
-    kind: SequenceKind, base: int, precision: int | None
-) -> tuple[FrameworkParams, Fraction]:
+@functools.cache
+def _instantiate(kind: SequenceKind, base: int, prec: int) -> tuple[FrameworkParams, Fraction]:
     """Growth-model coefficients of log_b of `kind` and its exact theta,
     cached per (kind, base, precision); every caller shares the result."""
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
-    prec = precision or DEFAULT_PRECISION
-    key = (kind, base, prec)
-    cached = _PARAMS_CACHE.get(key)
-    if cached is not None:
-        return cached
     with working_precision(prec):
-        lb = ln_base(base)
+        lb = ln_base(base, prec)
         if kind is SequenceKind.PARTITION:
             theta = Fraction(1, 2)
             params = FrameworkParams(
@@ -159,18 +143,17 @@ def _instantiate(
                 theta=theta,
                 K=PL_VALID_FROM,
             )
-    _PARAMS_CACHE[key] = params, theta
     return params, theta
 
 
 def instantiate_p(base: int, precision: int | None = None) -> FrameworkParams:
     """Growth-model coefficients of log_b p(n) (valid from K = 4)."""
-    return _instantiate(SequenceKind.PARTITION, base, precision)[0]
+    return _instantiate(SequenceKind.PARTITION, base, precision or DEFAULT_PRECISION)[0]
 
 
 def instantiate_pl(base: int, precision: int | None = None) -> FrameworkParams:
     """Growth-model coefficients of log_b PL(n) (valid from K = 2829)."""
-    return _instantiate(SequenceKind.PLANE_PARTITION, base, precision)[0]
+    return _instantiate(SequenceKind.PLANE_PARTITION, base, precision or DEFAULT_PRECISION)[0]
 
 
 def theorem_bound(kind: SequenceKind, base: int, t: int, precision: int | None = None) -> int:
@@ -185,9 +168,10 @@ def theorem_bound(kind: SequenceKind, base: int, t: int, precision: int | None =
     """
     kind = SequenceKind(kind)
     check_digit_domain(base, t)
-    with working_precision(precision or DEFAULT_PRECISION):
+    prec = precision or DEFAULT_PRECISION
+    with working_precision(prec):
         b = iv.mpf(base)
-        lb = ln_base(base)
+        lb = ln_base(base, prec)
         if kind is SequenceKind.PARTITION:
             expr = PARTITION_BOUND_COEFF * b ** (2 * t) / lb**2
         else:
@@ -212,11 +196,13 @@ class LogEstimate:
 
         True means proven inside; False means not provable at this width
         (which on exact inputs at sane precision only happens when the
-        envelope is genuinely violated).
+        envelope is genuinely violated).  The endpoint differences are
+        exact, so the working precision plays no part.
         """
-        diff = as_interval(log_value) - self.midpoint
-        worst = max(abs(inf(diff)), abs(sup(diff)))
-        return worst <= inf(self.envelope)
+        (v_lo, v_hi), (m_lo, m_hi) = as_interval(log_value)._mpi_, self.midpoint._mpi_
+        radius = self.envelope._mpi_[0]
+        below = mpf_le(mpf_abs(mpf_sub(v_lo, m_hi, 0)), radius)
+        return below and mpf_le(mpf_abs(mpf_sub(v_hi, m_lo, 0)), radius)
 
 
 def _iroot_bracket(m: int, q: int) -> tuple[int, int]:
@@ -231,10 +217,10 @@ def _iroot_bracket(m: int, q: int) -> tuple[int, int]:
 
 
 def _estimate(kind: SequenceKind, n: int, base: int, precision: int | None) -> LogEstimate:
-    params, theta = _instantiate(kind, base, precision)
+    prec = precision or DEFAULT_PRECISION
+    params, theta = _instantiate(kind, base, prec)
     if n < params.K:
         raise ValueError(f"estimate valid for n >= {params.K}, got {n}")
-    prec = precision or DEFAULT_PRECISION
     p, q = theta.numerator, theta.denominator
     # n^theta * 2^prec lies between the integer q-th roots of n^p * 2^(q*prec)
     lo, hi = _iroot_bracket(n**p << (q * prec), q)

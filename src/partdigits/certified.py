@@ -7,10 +7,12 @@ at the current working precision; the third answer is "undecided".
 from __future__ import annotations
 
 import contextlib
+import functools
 from fractions import Fraction
 
 import mpmath
 from mpmath import iv, mp
+from mpmath.libmp import from_int, mpf_log, round_ceiling, round_floor
 
 DEFAULT_PRECISION = 192  # bits; every public op accepts an override
 
@@ -37,22 +39,18 @@ def as_interval(x: IntervalLike):
         return x
     if isinstance(x, Fraction):
         return iv.mpf(x.numerator) / iv.mpf(x.denominator)
-    if isinstance(x, tuple):
-        lo, hi = x
-        return iv.mpf([lo, hi])
     return iv.mpf(x)
 
 
-_LN_BASE_CACHE: dict[tuple[int, int], object] = {}
+@functools.cache
+def ln_base(base: int, precision: int):
+    """Enclosure of ln(base) at `precision` bits, whatever the working precision.
 
-
-def ln_base(base: int):
-    """Enclosure of ln(base) at the working precision, cached per (base, precision)."""
-    key = (base, iv.prec)
-    cached = _LN_BASE_CACHE.get(key)
-    if cached is None:
-        cached = _LN_BASE_CACHE[key] = iv.log(iv.mpf(base))
-    return cached
+    Its endpoints are mpf_log rounded down and up, those of
+    iv.log(iv.mpf(base)) at that precision; cached per (base, precision).
+    """
+    b = from_int(base)
+    return iv.make_mpf((mpf_log(b, precision, round_floor), mpf_log(b, precision, round_ceiling)))
 
 
 def inf(x) -> mpmath.mpf:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -187,12 +188,23 @@ def _cache_file(args, kind: SequenceKind) -> Path | None:
     return directory / f"{kind.value}.table"
 
 
-def _load_table(args, kind: SequenceKind) -> tuple[SequenceTable, Path | None, int]:
+@contextlib.contextmanager
+def _cached_table(args, kind: SequenceKind):
+    """The table to scan, loaded from the cache if there is one, and saved
+    back once the scan is done or refused by the memory budget: a refused
+    table holds exactly the entries before the n it stopped at."""
     path = _cache_file(args, kind)
     if path is not None and path.exists():
         table = SequenceTable.load(path, memory_budget=args.memory_budget, expect_kind=kind)
-        return table, path, table.last_index
-    return SequenceTable(kind, memory_budget=args.memory_budget), path, -1
+        loaded = table.last_index
+    else:
+        table, loaded = SequenceTable(kind, memory_budget=args.memory_budget), -1
+    try:
+        yield table
+    except ResourceLimitError:
+        _save_table(table, path, loaded)
+        raise
+    _save_table(table, path, loaded)
 
 
 def _save_table(table: SequenceTable, path: Path | None, loaded_last: int) -> None:
@@ -275,9 +287,8 @@ def _cmd_search(args) -> int:
     f = DigitString.parse(args.digits, args.base)
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"limit must be >= 0, got {args.limit}")
-    table, path, loaded = _load_table(args, kind)
-    result = find_min_n(kind, f, args.limit, table=table, precision=args.precision)
-    _save_table(table, path, loaded)
+    with _cached_table(args, kind) as table:
+        result = find_min_n(kind, f, args.limit, table=table, precision=args.precision)
     if result is None:
         horizon = args.limit if args.limit is not None else theorem_bound(
             kind, f.base, f.t, args.precision
@@ -350,9 +361,8 @@ def _cmd_bound(args) -> int:
 
 def _cmd_verify(args) -> int:
     kind = SequenceKind(args.kind)
-    table, path, loaded = _load_table(args, kind)
-    report = verify_theorem(kind, args.base, args.t, precision=args.precision, table=table)
-    _save_table(table, path, loaded)
+    with _cached_table(args, kind) as table:
+        report = verify_theorem(kind, args.base, args.t, precision=args.precision, table=table)
     results = report.results
     text = chain(
         [f"{kind.value} base {report.base} t {report.t}: "
@@ -370,9 +380,8 @@ def _cmd_census(args) -> int:
     kind = SequenceKind(args.kind)
     if args.limit < 0:
         raise ValueError(f"census size must be >= 0, got {args.limit}")
-    table, path, loaded = _load_table(args, kind)
-    census = digit_census(kind, args.base, args.t, args.limit, table=table)
-    _save_table(table, path, loaded)
+    with _cached_table(args, kind) as table:
+        census = digit_census(kind, args.base, args.t, args.limit, table=table)
     counts = [(f.text(), c) for f, c in census.items()]
     total = sum(census.values())
     skipped = args.limit - total

@@ -16,14 +16,10 @@ import math
 from dataclasses import dataclass
 
 from mpmath import iv
-from mpmath.libmp import fone, from_int, mpf_add, mpf_div, mpf_lt, mpf_mul, round_ceiling, round_floor
+from mpmath.libmp import fone, from_int, mpf_add, mpf_div, mpf_log, mpf_lt, mpf_mul, mpf_sub
+from mpmath.libmp import round_ceiling, round_floor
 
-from .certified import (
-    DEFAULT_PRECISION,
-    ln_base,
-    membership_half_open,
-    working_precision,
-)
+from .certified import DEFAULT_PRECISION, ln_base, membership_half_open
 
 _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
@@ -142,15 +138,19 @@ def leading_digits(n: int, base: int, t: int) -> DigitString:
     return DigitString.from_value(w, base, t)
 
 
-def _log_int(value: int, base: int, precision: int):
-    """(Enclosure of log_base(value), digit count of value) for an integer >= 1.
+def _log_int(value: int, base: int, precision: int, less: int | None):
+    """Enclosure of log_b(value) - less for an integer value >= 1, at `precision` bits.
 
-    Reads a leading window head = value // b^z of 3/4 of the working
-    `precision` in bits, so value lies in [head*b^z, (head+1)*b^z).  The one
-    logarithm taken is log_b(head); the upper end uses
-    log_b(head + 1) <= log_b(head) + 1/(head ln b), capped at w because
-    head + 1 <= b^w.  Endpoints at powers of b are exact, so fractional parts
-    never spill outside [0, 1].
+    less = None subtracts the digit count of value minus one, which leaves
+    the fractional part.  Reads a leading window head = value // b^z of 3/4
+    of `precision`, w digits, so value lies in [head*b^z, (head+1)*b^z).
+    The one logarithm taken is ln(head), rounded down and up and divided
+    outward by ln_base's endpoints; the upper end adds
+    1/(head ln b) >= log_b(head + 1) - log_b(head), capped at w because
+    head + 1 <= b^w.  Only raw endpoints are handled, every operation
+    rounded outward at `precision`, so the working precision plays no part;
+    the shift z - less is added in the last rounding.  Endpoints at powers
+    of b are exact, so fractional parts never spill outside [0, 1].
     """
     d = digit_count(value, base)
     w = min(d, max(2, math.ceil(precision * 3 / 4 / math.log2(base))))
@@ -159,41 +159,39 @@ def _log_int(value: int, base: int, precision: int):
         head, rem = value >> z, value & ((1 << z) - 1)
     else:
         head, rem = divmod(value, base**z)
-    lb = ln_base(base)
-    lo = iv.mpf(w - 1) if head * base == base**w else iv.log(head) / lb
-    # endpoints as raw mpf values, each operation rounded outward
-    lo_end, hi_end = lo._mpi_
+    lb_lo, lb_hi = ln_base(base, precision)._mpi_
+    h = from_int(head)
+    if head * base == base**w:
+        lo_end = hi_end = from_int(w - 1)
+    else:
+        lo_end = mpf_div(mpf_log(h, precision, round_floor), lb_hi, precision, round_floor)
+        hi_end = mpf_div(mpf_log(h, precision, round_ceiling), lb_lo, precision, round_ceiling)
     if rem:
-        head_lb = mpf_mul(from_int(head), lb._mpi_[0], precision, round_floor)
+        head_lb = mpf_mul(h, lb_lo, precision, round_floor)
         step = mpf_div(fone, head_lb, precision, round_ceiling)
         hi_end = mpf_add(hi_end, step, precision, round_ceiling)
         if mpf_lt(from_int(w), hi_end):
             hi_end = from_int(w)
-    shift = from_int(z)
+    shift = from_int(1 - w if less is None else z - less)
     return iv.make_mpf((
         mpf_add(lo_end, shift, precision, round_floor),
         mpf_add(hi_end, shift, precision, round_ceiling),
-    )), d
+    ))
 
 
 def log_value_interval(value: int, base: int, precision: int | None = None):
     """Certified enclosure of log_base(value), value >= 1 exact."""
-    prec = precision or DEFAULT_PRECISION
-    with working_precision(prec):
-        return _log_int(value, base, prec)[0]
+    return _log_int(value, base, precision or DEFAULT_PRECISION, 0)
 
 
 def frac_log(n: int, base: int, precision: int | None = None):
     """Certified enclosure of the fractional part of log_base(n), n >= 1.
 
-    The enclosure never straddles an integer: it equals the full log
-    enclosure shifted down by the exact digit count minus one, and exact
-    powers of the base return the zero-width interval [0, 0].
+    The enclosure never straddles an integer: it is the log enclosure
+    shifted down by the exact digit count minus one, and exact powers of
+    the base return the zero-width interval [0, 0].
     """
-    prec = precision or DEFAULT_PRECISION
-    with working_precision(prec):
-        x, d = _log_int(n, base, prec)
-        return x - (d - 1)
+    return _log_int(n, base, precision or DEFAULT_PRECISION, None)
 
 
 @dataclass(eq=False)
@@ -211,8 +209,9 @@ class TargetInterval:
 
     @property
     def delta(self):
-        """Enclosure of the window length log_b(1 + 1/f)."""
-        return self.hi - self.lo
+        """Enclosure of the window length log_b(1 + 1/f), from exact endpoint differences."""
+        (lo_lo, lo_hi), (hi_lo, hi_hi) = self.lo._mpi_, self.hi._mpi_
+        return iv.make_mpf((mpf_sub(hi_lo, lo_hi, 0), mpf_sub(hi_hi, lo_lo, 0)))
 
     def contains(self, x) -> bool | None:
         """Certified membership of the real enclosed by x in [lo, hi)."""
@@ -222,8 +221,7 @@ class TargetInterval:
 def target_interval(f: DigitString, precision: int | None = None) -> TargetInterval:
     """Fractional-part window for digit string f, with certified endpoints."""
     prec = precision or DEFAULT_PRECISION
-    with working_precision(prec):
-        shift = f.t - 1
-        lo = _log_int(f.value, f.base, prec)[0] - shift
-        hi = _log_int(f.value + 1, f.base, prec)[0] - shift
-        return TargetInterval(f=f, lo=lo, hi=hi)
+    shift = f.t - 1
+    lo = _log_int(f.value, f.base, prec, shift)
+    hi = _log_int(f.value + 1, f.base, prec, shift)
+    return TargetInterval(f=f, lo=lo, hi=hi)

@@ -37,9 +37,9 @@ uint32 length per record; the records, entries first; and a SHA-256
 digest of everything before it, so a flipped bit anywhere is refused on
 load.  A loaded table is in the state the saved one was in.  Loading
 checks the digest, the last entry's recurrence and, for PL, the pending
-sum for the last entry, charges the budget for every record at once, and
-keeps the file's bytes: entries are parsed 1024 at a time when first
-read, the pending sums when the table extends.  A 24,001-entry p cache
+sum for the last entry, charges the budget for every record at once,
+parses the pending sums and keeps the file's bytes: entries are parsed
+1024 at a time when first read.  A 24,001-entry p cache
 (1.2 MB, format version 2) loaded in 3.9 ms against 28 ms for the eager
 version 1 reader; parsing all of it afterwards took 14 ms (best of 15
 calls, same 2-core x86 VM, alternating with the old code).
@@ -221,8 +221,7 @@ class SequenceTable:
 
     A table loaded from a cache keeps the file's bytes and parses its
     entries _PARSE_CHUNK at a time, when one of them is first read or
-    the table extends (until then `_values` holds None for them), and its
-    pending sums when it extends.
+    the table extends (until then `_values` holds None for them).
     """
 
     def __init__(self, kind: SequenceKind, memory_budget: int | None = None):
@@ -243,7 +242,7 @@ class SequenceTable:
         self._pending_bytes = 0
         # A loaded table's file contents and the offsets of its records, the
         # entries' and then the pending sums' (one past the last as well),
-        # until no chunk is left unparsed; the pending sums count as one.
+        # until no chunk of entries is left unparsed.
         self._raw: bytes | None = None
         self._offsets: "array.array[int] | None" = None
         self._unparsed_chunks = 0
@@ -409,7 +408,7 @@ class SequenceTable:
         The file is the header, one uint32 record length per entry and per
         pending sum, the records (each value's minimal little-endian bytes,
         the entries' and then the pending sums') and the SHA-256 digest of
-        everything before it.  A loaded table parses its remaining records
+        everything before it.  A loaded table parses its remaining entries
         first; the file is then encoded and hashed _PARSE_CHUNK records at
         a time.
         """
@@ -450,9 +449,9 @@ class SequenceTable:
     ) -> "SequenceTable":
         """Load a cache file, verifying its digest and last entry (for PL, with its pending sum).
 
-        The records are parsed later, as they are read: the entries a chunk
-        at a time, the pending sums when the table extends.  The budget is
-        charged for all of them here, with the totals that the header stores.
+        The pending sums are parsed here, the entries later, a chunk at a
+        time as they are read.  The budget is charged for all of them here,
+        with the totals that the header stores.
         """
         import hashlib
         from array import array
@@ -509,7 +508,8 @@ class SequenceTable:
         table._bytes = entry_bytes + pending_bytes
         table._pending_bytes = pending_bytes
         table._raw, table._offsets = data, offsets
-        table._unparsed_chunks = -(-count // _PARSE_CHUNK) + (1 if pending_count else 0)
+        table._unparsed_chunks = -(-count // _PARSE_CHUNK)
+        table._pending = [table._record(n) for n in range(count, count + pending_count)]
         if table._record(0) != 1:
             raise CacheFormatError(f"{path}: entry 0 is {table._record(0)}, expected 1")
         table._verify_last_entry()
@@ -531,15 +531,11 @@ class SequenceTable:
         if not self._unparsed_chunks:
             self._raw = self._offsets = None
 
-    def _parse_all(self, pending: bool = True) -> None:
-        """Parse every record left: the entries', then (the last chunk) the pending sums'."""
+    def _parse_all(self) -> None:
+        """Parse every entry left."""
         for lo in range(0, len(self._values), _PARSE_CHUNK):
             if self._values[lo] is None:
                 self._parse_chunk(lo)
-        if pending and self._unparsed_chunks:
-            first = len(self._values)
-            self._pending = [self._record(n) for n in range(first, len(self._offsets) - 1)]
-            self._unparsed_chunks, self._raw, self._offsets = 0, None, None
 
     def _verify_last_entry(self) -> None:
         """Recompute a loaded table's last entry from the entries before it.
@@ -558,7 +554,7 @@ class SequenceTable:
             expected = sum(sign * record(n - g) for g, sign in self._pent if g <= n)
             actual = record(n)
         else:
-            self._parse_all(pending=False)
+            self._parse_all()
             vals = self._values
             self._grow_sigma2(n)
             expected, r = divmod(_convolve(self._sigma2, vals, n, n), n)
@@ -570,7 +566,7 @@ class SequenceTable:
                 f"corrupt cache: entry {n} fails its recurrence check"
             )
         if self.kind is SequenceKind.PLANE_PARTITION and n >= _LEAF:
-            stored = self._record(len(self._values) + n % _LEAF)
+            stored = self._pending[n % _LEAF]
             if _convolve(self._sigma2, self._values, n, _LEAF - 1) + stored != n * actual:
                 raise CacheFormatError(
                     f"corrupt cache: the pending sum for target {n} fails its check"

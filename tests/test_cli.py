@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import partdigits
@@ -116,6 +117,27 @@ def test_bound_with_digits(capsys):
         capsys, "bound", "--kind", "p", "--base", "10", "--t", "2", "--digits", "2"
     )
     assert code == EXIT_USAGE and "length" in err
+
+
+def test_bound_actual_delta_at_the_given_precision(capsys):
+    # log10(10/9) and the thresholds it drives, from mpmath at 400 bits: the
+    # window of f = 9, L2 = (3 c4 / delta)^2 and L4 = (3 c1 theta / delta)^2
+    # for p in base 10 (theta = 1/2)
+    with mpmath.workprec(400):
+        delta = mpmath.log10(mpmath.mpf(10) / 9)
+        ln10 = mpmath.log(10)
+        expected = {
+            "delta": delta,
+            "L2": (3 * (4 / ln10) / delta) ** 2,
+            "L4": (mpmath.mpf(3) / 2 * (mpmath.pi * mpmath.sqrt(24) / 6 / ln10) / delta) ** 2,
+        }
+        expected = {key: mpmath.nstr(value, 25) for key, value in expected.items()}
+    code, out, _ = _run(
+        capsys, "bound", "--kind", "p", "--base", "10", "--t", "1", "--precision", "384",
+    )
+    assert code == EXIT_OK
+    actual = json.loads(out)["conventions"]["actual_delta"]
+    assert {key: actual[key] for key in expected} == expected
 
 
 def test_bound_csv_and_text(capsys):
@@ -352,6 +374,22 @@ def test_concurrent_saves_use_their_own_temp_files(tmp_path, monkeypatch):
     assert SequenceTable.load(path).last_index == 300
 
 
+def test_a_run_refused_by_its_budget_saves_what_it_built(tmp_path, capsys, monkeypatch):
+    census = ("census", "--kind", "pl", "--base", "10", "--t", "1")
+    cached = (*census, "--cache", str(tmp_path))
+    code, _, err = _run(capsys, *cached, "--limit", "3000", "--memory-budget", "256K")
+    assert code == EXIT_RESOURCE and "at n = 1554" in err
+    assert SequenceTable.load(tmp_path / "pl.table").last_index == 1553
+
+    def rebuild(*args):
+        raise AssertionError("the run rebuilt entries the cache holds")
+
+    monkeypatch.setattr(SequenceTable, "_extend_plane", rebuild)
+    code, out, _ = _run(capsys, *cached, "--limit", "1553")
+    monkeypatch.undo()
+    assert (code, out) == _run(capsys, *census, "--limit", "1553")[:2]
+
+
 SELFTEST_NAMES = (
     "partition-recurrence-vs-enumeration",
     "plane-recurrence-vs-enumeration",
@@ -374,11 +412,11 @@ BOUND_TERMS = {
     },
     "actual_delta": {
         "f": "9",
-        "delta": "0.04575749056067512574030864",
+        "delta": "0.04575749056067512540994419",
         "L1": "5.471343916686239657969491",
-        "L2": "12971.99334242991898826234",
+        "L2": "12971.9933424299191755753",
         "L3": "25.78534042102777915594388",
-        "L4": "1333.629610243210290512888",
+        "L4": "1333.629610243210309770229",
         "D": "5.077926783740366136389381",
         "bound": 25946,
     },
@@ -411,18 +449,18 @@ EXACT_STDOUT = {
         "nominal_delta,,0.1,5.471343916686239657969491,2716.008436967240580767436,"
         "25.78534042102777915594388,279.2284252384136197024823,"
         "5.077926783740366136389381,5435,5470\n"
-        "actual_delta,9,0.04575749056067512574030864,5.471343916686239657969491,"
-        "12971.99334242991898826234,25.78534042102777915594388,"
-        "1333.629610243210290512888,5.077926783740366136389381,25946,5470\n",
+        "actual_delta,9,0.04575749056067512540994419,5.471343916686239657969491,"
+        "12971.9933424299191755753,25.78534042102777915594388,"
+        "1333.629610243210309770229,5.077926783740366136389381,25946,5470\n",
     ("bound --kind p --base 10 --t 1", "text"):
         "p base 10 t 1: theorem bound 5470\n"
         "  nominal_delta: delta 0.1, bound 5435\n"
         "    L1 5.471343916686239657969491, L2 2716.008436967240580767436, "
         "L3 25.78534042102777915594388, L4 279.2284252384136197024823, "
         "D 5.077926783740366136389381\n"
-        "  actual_delta (f = 9): delta 0.04575749056067512574030864, bound 25946\n"
-        "    L1 5.471343916686239657969491, L2 12971.99334242991898826234, "
-        "L3 25.78534042102777915594388, L4 1333.629610243210290512888, "
+        "  actual_delta (f = 9): delta 0.04575749056067512540994419, bound 25946\n"
+        "    L1 5.471343916686239657969491, L2 12971.9933424299191755753, "
+        "L3 25.78534042102777915594388, L4 1333.629610243210309770229, "
         "D 5.077926783740366136389381\n",
     ("verify --kind p --base 2 --t 2", "json"): _json({
         "kind": "p", "b": 2, "t": 2,

@@ -6,6 +6,7 @@ import random
 
 import pytest
 from mpmath import iv
+from mpmath.libmp import mpf_add
 
 from partdigits import (
     DigitString,
@@ -13,10 +14,11 @@ from partdigits import (
     digit_count,
     frac_log,
     leading_digits,
+    log_p_estimate,
     log_value_interval,
     target_interval,
 )
-from partdigits.certified import inf, sup, working_precision
+from partdigits.certified import as_interval, inf, sup, working_precision
 
 
 def test_digit_string_validation():
@@ -221,6 +223,37 @@ def test_window_width_parameter():
     assert inf(wide) <= inf(mid) <= inf(tight) and sup(tight) <= sup(mid) <= sup(wide)
     for p, x in zip(precisions, (wide, mid, tight)):
         assert sup(x) - inf(x) < 2.0 ** (8 - 3 * p // 4)
+
+
+def _certified_answers():
+    """Endpoints and answers of the certified log layer at its default precision."""
+    window = target_interval(DigitString.parse("37", 10))
+    estimate = log_p_estimate(100, 10)
+    # exactly the envelope's radius above the midpoint's lower end: inside
+    edge = mpf_add(estimate.midpoint._mpi_[0], estimate.envelope._mpi_[0], 0)
+    return (
+        log_value_interval(7**333, 10)._mpi_,
+        frac_log(7**333, 10)._mpi_,
+        window.lo._mpi_,
+        window.hi._mpi_,
+        window.delta._mpi_,
+        estimate.contains(log_value_interval(190569292, 10)),  # p(100)
+        estimate.contains(iv.make_mpf((edge, edge))),
+    )
+
+
+def test_certified_logs_ignore_the_working_precision():
+    outside = _certified_answers()
+    assert outside[-2:] == (True, True)
+    for bits in (64, 512):
+        with working_precision(bits):
+            assert _certified_answers() == outside, bits
+
+
+def test_as_interval_takes_a_pair():
+    for pair in ((1, 2), [1, 2]):
+        x = as_interval(pair)
+        assert (inf(x), sup(x)) == (1, 2)
 
 
 def _two_log_interval(value, base, precision):

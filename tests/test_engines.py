@@ -335,8 +335,8 @@ def test_cache_stores_pending_sums_parsed_on_extension(tmp_path):
     fields = struct.unpack_from(V3_HEADER, path.read_bytes())
     assert fields[6:] == (256, len(table._pending), table._pending_bytes)
     loaded = SequenceTable.load(path)
-    # the load parses every entry to check the last one, but no pending sum
-    assert loaded._pending == [] and loaded._unparsed_chunks == 1
+    # the load parses every entry to check the last one, and every pending sum
+    assert loaded._pending == table._pending and loaded._unparsed_chunks == 0
     sieve = 299 * (sys.getsizeof(0) + 8)  # sigma2(1..299), read by that check
     assert loaded.estimated_bytes == table._entry_bytes + table._pending_bytes + sieve
     loaded.extend(300)
