@@ -210,7 +210,11 @@ def _iroot_bracket(m: int, q: int) -> tuple[int, int]:
     if q == 2:
         lo = math.isqrt(m)
     else:  # Newton's method from above stops at floor(m^(1/3))
-        lo = 1 << -(-m.bit_length() // 3)
+        # Start from the float cube root of m's top bits, m = top * 2^(3k) + r:
+        # float(top) ** (1/3) is within 2^-48 of top^(1/3) relative, so the
+        # raised start is above m^(1/3), and about 2^-45 from it.
+        k = max(m.bit_length() - 159, 0) // 3
+        lo = (int(float(m >> 3 * k) ** (1 / 3) * (1 + 2**-45)) + 1) << k
         while (nxt := (2 * lo + m // (lo * lo)) // 3) < lo:
             lo = nxt
     return lo, lo + (lo**q != m)

@@ -1,8 +1,8 @@
 """Shared fixtures: the two big exact tables are built once per session.
 
-The partition table to 5e4 takes about 2 s and the plane-partition table
-to 2e4 about 30 s (2-core x86 VM, CPython 3.11), so neither is rebuilt
-per test.
+The partition table to 5e4 takes about 1.1 s and the plane-partition
+table to 2e4 about 27 s (2-core x86 VM, CPython 3.11), so neither is
+rebuilt per test.
 """
 from __future__ import annotations
 

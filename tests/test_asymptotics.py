@@ -1,6 +1,7 @@
 """Certified constants and log estimates with explicit error envelopes."""
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -179,6 +180,18 @@ def test_integer_root_bracket(theta):
             assert lo**q <= m <= hi**q, (n, bits)
             assert hi - lo <= 1, (n, bits)
             assert (lo == hi) == (n in q_th_powers), (n, bits)
+    # q-th powers and their neighbours, up to m far beyond the float range
+    rng = random.Random(q)
+    roots = [*range(1, 300), 2**17, 2**52 + 1, 2**60, 10**18 + 7, 3**200, 2**700 - 1]
+    roots.append(10**400 + 3)
+    roots += [rng.getrandbits(bits) | 1 << (bits - 1) for bits in (40, 60, 100, 201, 600)]
+    for k in roots:
+        for m in (k**q - 1, k**q, k**q + 1):
+            if m < 1:
+                continue
+            lo, hi = _iroot_bracket(m, q)
+            assert lo**q <= m <= hi**q and hi - lo <= 1, (k, m - k**q)
+            assert (lo == hi) == (m == k**q), (k, m - k**q)
 
 
 def test_estimates_match_the_interval_power_formula():

@@ -262,6 +262,63 @@ def test_argparse_errors_map_to_usage(capsys):
     capsys.readouterr()
 
 
+# -- one parser per process: runs share it, and no run leaves a trace in it
+
+
+def test_a_cached_run_leaves_nothing_for_the_next_one(tmp_path, capsys, monkeypatch):
+    # the run without --cache extends past the cached table and must not
+    # save into the previous run's directory
+    monkeypatch.delenv(ENV_CACHE_DIR, raising=False)
+    cache = tmp_path / "tables"
+    code, _, err = _run(
+        capsys, "search", "--kind", "p", "--base", "10", "--digits", "7", "--cache", str(cache)
+    )
+    assert code == EXIT_OK, err
+    before = {f.name: (f.read_bytes(), f.stat().st_mtime_ns) for f in cache.iterdir()}
+    assert list(before) == ["p.table"]
+    code, _, err = _run(capsys, "verify", "--kind", "p", "--base", "10", "--t", "2")
+    assert code == EXIT_OK, err
+    assert {f.name: (f.read_bytes(), f.stat().st_mtime_ns) for f in cache.iterdir()} == before
+
+
+def test_a_usage_error_leaves_the_parser_usable(capsys):
+    argv = ["search", "--kind", "p", "--base", "10", "--digits", "37", "--output", "csv"]
+    fresh = subprocess.run(
+        [sys.executable, "-m", "partdigits.cli", *argv],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert fresh.returncode == EXIT_OK, fresh.stderr
+    assert run(["search", "--kind", "p", "--output", "xml"]) == EXIT_USAGE
+    code, out, err = _run(capsys, *argv)
+    assert code == EXIT_OK, err
+    assert out == fresh.stdout
+
+
+def test_the_parser_is_built_on_the_first_run_only():
+    # counted in a fresh interpreter: importing the CLI builds no parser,
+    # and a second run builds none either
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import partdigits.cli as cli\n"
+        "assert not built, len(built)\n"
+        "argv = ['bound', '--kind', 'p', '--base', '10', '--t', '1']\n"
+        "assert cli.run(argv) == 0\n"
+        "first = len(built)\n"
+        "assert first and cli.run(argv) == 0 and len(built) == first, (first, len(built))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_src_env(),
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_json_determinism(capsys):
     argv = ("verify", "--kind", "p", "--base", "10", "--t", "1")
     _, first, _ = _run(capsys, *argv)

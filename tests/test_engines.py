@@ -19,6 +19,7 @@ from partdigits import (
 )
 from partdigits.engines import _CACHE_VERSION, _EXACT, _LEAF, _TILE, _convolve, _pack, _unpack
 
+ORACLE_P_MAX = 2000
 ORACLE_PL_MAX = 3000
 
 P_FIRST = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
@@ -30,6 +31,23 @@ def test_partition_recurrence_matches_enumeration():
     table.extend(30)
     for n in range(31):
         assert table[n] == brute_force_p(n)
+
+
+def test_partition_table_matches_the_divisor_sum_recurrence():
+    # n p(n) = sum_{k=1}^{n} sigma(k) p(n-k), with sigma from a divisor
+    # sieve: an oracle that shares nothing with the pentagonal recurrence
+    top = ORACLE_P_MAX
+    sigma = [0] * (top + 1)
+    for d in range(1, top + 1):
+        for m in range(d, top + 1, d):
+            sigma[m] += d
+    oracle = [1]
+    for n in range(1, top + 1):
+        total = sum(sigma[k] * oracle[n - k] for k in range(1, n + 1))
+        assert total % n == 0, n
+        oracle.append(total // n)
+    table = SequenceTable(SequenceKind.PARTITION).extend(top)
+    assert [table[n] for n in range(top + 1)] == oracle
 
 
 def test_plane_recurrence_matches_enumeration():
@@ -183,6 +201,17 @@ def test_extension_determinism():
     before = stepped[120]
     stepped.extend(50)
     assert stepped.last_index == 120 and stepped[120] == before
+    # p: stops on, just before and just after pentagonal numbers (1, 2, 5,
+    # 7, 12, 15, ..., 1001, 1335) and 256-entry chunk edges give the values
+    # and the byte count of one extension
+    stops = [1, 2, 3, 4, 5, 6, 7, 11, 12, 13, 15, 16, 255, 256, 257, 511, 512, 1000, 1001,
+             1002, 1024, 1334, 1335, 1336, 1536, 2000]
+    stepped = SequenceTable(SequenceKind.PARTITION)
+    for stop in stops:
+        stepped.extend(stop)
+    direct = SequenceTable(SequenceKind.PARTITION).extend(stops[-1])
+    assert [stepped[n] for n in range(2001)] == [direct[n] for n in range(2001)]
+    assert stepped.estimated_bytes == direct.estimated_bytes
 
 
 def test_table_extend_returns_self():
@@ -209,6 +238,22 @@ def test_memory_budget_aborts_extension():
         table.extend(10_000)
     # the failed extension leaves a consistent prefix
     assert table[table.last_index] > 0
+    # the p counterpart of test_plane_budget_refusal_keeps_state: a refused
+    # extension leaves exactly a fresh table's prefix, values and charged
+    # bytes, and extends correctly once the budget allows
+    full = SequenceTable(SequenceKind.PARTITION).extend(1500)
+    for start, refused_at in ((0, 5), (100, 256), (700, 1002), (1000, 1499)):
+        table = SequenceTable(SequenceKind.PARTITION).extend(start)
+        prefix = SequenceTable(SequenceKind.PARTITION).extend(refused_at - 1)
+        table.memory_budget = prefix.estimated_bytes + 1  # too small for one more entry
+        with pytest.raises(ResourceLimitError):
+            table.extend(1500)
+        assert table.last_index == refused_at - 1, start
+        assert [table[n] for n in range(refused_at)] == [full[n] for n in range(refused_at)]
+        assert table.estimated_bytes == prefix.estimated_bytes, start
+        table.memory_budget = full.memory_budget
+        table.extend(1500)
+        assert [table[n] for n in range(1501)] == [full[n] for n in range(1501)], start
 
 
 def test_cache_round_trip(tmp_path):
