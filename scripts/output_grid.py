@@ -64,7 +64,10 @@ def _grid():
     yield ("verify", "--kind", "p", "--base", "10", "--t", "0")
     yield ("census", "--kind", "p", "--base", "10", "--t", "1", "--limit", "-1")
     yield ("search", "--kind", "p", "--base", "10", "--digits", "7", "--limit", "-4")
-    yield ("search", "--kind", "p", "--base", "10", "--digits", "7", "--precision", "32")
+    yield ("bound", "--kind", "p", "--base", "10", "--t", "1", "--precision", "32")
+    # a flag the command does not take
+    yield ("census", "--kind", "p", "--base", "10", "--t", "1", "--limit", "10",
+           "--precision", "96")
     # the precision sets the width of every log enclosure
     for precision in ("64", "384"):
         for kind in ("p", "pl"):

@@ -10,8 +10,8 @@ c2*log n + c3 + E(n) with |E(n)| <= c4*n^(-theta) for n >= K:
                  c4 = 200/ln b, theta = 2/3, K = 2829,
 
 where z3 = zeta(3) and B = z3^(7/36) e^(zeta'(-1)) 2^(-11/36) (3 pi)^(-1/2)
-is Wright's constant.  `instantiate_p` and `instantiate_pl` are the one
-place these coefficients are written, theta as an exact fraction.  An
+is Wright's constant.  `_instantiate` is the one place they are written;
+theta is the exact fraction THETA, which theorem_bound reads too.  An
 estimate is derived from them: its midpoint is the model's main term and
 its envelope c4*n^(-theta), both certified intervals.  n^theta is read off
 exact integer roots, isqrt(n * 2^(2P)) or the integer cube root of
@@ -52,8 +52,9 @@ MIN_CONSTANT_PRECISION = 128
 P_VALID_FROM = 4
 PL_VALID_FROM = 2829
 
-PARTITION_BOUND_COEFF = 290
-PLANE_BOUND_COEFF = 29396
+# Each kind's growth exponent theta, and the coefficient of its closed-form horizon
+THETA = {SequenceKind.PARTITION: Fraction(1, 2), SequenceKind.PLANE_PARTITION: Fraction(2, 3)}
+BOUND_COEFF = {SequenceKind.PARTITION: 290, SequenceKind.PLANE_PARTITION: 29396}
 
 
 def _zeta3_fraction_bracket(bits: int) -> tuple[Fraction, Fraction]:
@@ -115,68 +116,58 @@ def eval_constants(precision: int = DEFAULT_PRECISION) -> Constants:
 
 
 @functools.cache
-def _instantiate(kind: SequenceKind, base: int, prec: int) -> tuple[FrameworkParams, Fraction]:
-    """Growth-model coefficients of log_b of `kind` and its exact theta,
-    cached per (kind, base, precision); every caller shares the result."""
+def _instantiate(kind: SequenceKind, base: int, prec: int) -> FrameworkParams:
+    """Growth-model coefficients of log_b of `kind`, cached per (kind, base,
+    precision); every caller shares the result."""
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
     with working_precision(prec):
-        lb = ln_base(base, prec)
         if kind is SequenceKind.PARTITION:
-            theta = Fraction(1, 2)
-            params = FrameworkParams(
-                c1=iv.pi * iv.sqrt(iv.mpf(24)) / 6 / lb,
-                c2=-1 / lb,
-                c3=iv.log(iv.sqrt(iv.mpf(3)) / 12) / lb,
-                c4=4 / lb,
-                theta=theta,
-                K=P_VALID_FROM,
-            )
+            c1 = iv.pi * iv.sqrt(iv.mpf(24)) / 6
+            c2, c3, c4, K = -1, iv.log(iv.sqrt(iv.mpf(3)) / 12), 4, P_VALID_FROM
         else:
-            theta = Fraction(2, 3)
             constants = eval_constants(max(prec, MIN_CONSTANT_PRECISION))
-            params = FrameworkParams(
-                c1=3 * (constants.zeta3 / 4) ** (iv.mpf(1) / 3) / lb,
-                c2=-iv.mpf(25) / 36 / lb,
-                c3=iv.log(constants.pl_prefactor) / lb,
-                c4=200 / lb,
-                theta=theta,
-                K=PL_VALID_FROM,
-            )
-    return params, theta
+            c1 = 3 * (constants.zeta3 / 4) ** (iv.mpf(1) / 3)
+            c2, c3, c4, K = -iv.mpf(25) / 36, iv.log(constants.pl_prefactor), 200, PL_VALID_FROM
+        lb = ln_base(base, prec)
+        return FrameworkParams(
+            c1=c1 / lb, c2=c2 / lb, c3=c3 / lb, c4=c4 / lb, theta=THETA[kind], K=K
+        )
 
 
-def instantiate_p(base: int, precision: int | None = None) -> FrameworkParams:
+def instantiate_p(base: int, precision: int = DEFAULT_PRECISION) -> FrameworkParams:
     """Growth-model coefficients of log_b p(n) (valid from K = 4)."""
-    return _instantiate(SequenceKind.PARTITION, base, precision or DEFAULT_PRECISION)[0]
+    return _instantiate(SequenceKind.PARTITION, base, precision)
 
 
-def instantiate_pl(base: int, precision: int | None = None) -> FrameworkParams:
+def instantiate_pl(base: int, precision: int = DEFAULT_PRECISION) -> FrameworkParams:
     """Growth-model coefficients of log_b PL(n) (valid from K = 2829)."""
-    return _instantiate(SequenceKind.PLANE_PARTITION, base, precision or DEFAULT_PRECISION)[0]
+    return _instantiate(SequenceKind.PLANE_PARTITION, base, precision)
 
 
-def theorem_bound(kind: SequenceKind, base: int, t: int, precision: int | None = None) -> int:
-    """The paper's closed-form first-hit horizon for t-digit base-b targets:
+def theorem_bound(kind: SequenceKind, base: int, t: int) -> int:
+    """The paper's closed-form first-hit horizon for t-digit base-b targets,
+    ceil(BOUND_COEFF * (b^t / ln b)^(1/THETA)) of the kind:
 
         p:  ceil(290 * b^(2t) / ln(b)^2)
         PL: ceil(29396 * b^(3t/2) / ln(b)^(3/2))
 
-    Not certified: at the narrowest window, f = b^t - 1, compute_bounds
-    proves larger horizons, 25,946 for p b10 t1 (closed form 5,470) and
+    Evaluated once per (kind, b, t), at max(DEFAULT_PRECISION, 2 t
+    bitlen(b) + 64) bits: the enclosure is then narrower than 2^-40.  Not
+    certified: at the narrowest window, f = b^t - 1, compute_bounds proves
+    larger horizons, 25,946 for p b10 t1 (closed form 5,470) and
     127,881,305 for pl b10 t2 (8,413,268).
     """
-    kind = SequenceKind(kind)
+    return _theorem_bound(SequenceKind(kind), base, t)
+
+
+@functools.cache
+def _theorem_bound(kind: SequenceKind, base: int, t: int) -> int:
     check_digit_domain(base, t)
-    prec = precision or DEFAULT_PRECISION
+    prec = max(DEFAULT_PRECISION, 2 * t * base.bit_length() + 64)
     with working_precision(prec):
-        b = iv.mpf(base)
-        lb = ln_base(base, prec)
-        if kind is SequenceKind.PARTITION:
-            expr = PARTITION_BOUND_COEFF * b ** (2 * t) / lb**2
-        else:
-            expr = PLANE_BOUND_COEFF * b ** (iv.mpf(3 * t) / 2) / lb ** (iv.mpf(3) / 2)
-        return ceil_sup(expr)
+        ratio = iv.mpf(base) ** t / ln_base(base, prec)
+        return ceil_sup(BOUND_COEFF[kind] * ratio ** as_interval(1 / THETA[kind]))
 
 
 @dataclass(eq=False)
@@ -220,18 +211,20 @@ def _iroot_bracket(m: int, q: int) -> tuple[int, int]:
     return lo, lo + (lo**q != m)
 
 
-def _estimate(kind: SequenceKind, n: int, base: int, precision: int | None) -> LogEstimate:
-    prec = precision or DEFAULT_PRECISION
-    params, theta = _instantiate(kind, base, prec)
+def _estimate(
+    kind: SequenceKind, n: int, base: int, precision: int = DEFAULT_PRECISION
+) -> LogEstimate:
+    params = _instantiate(kind, base, precision)
     if n < params.K:
         raise ValueError(f"estimate valid for n >= {params.K}, got {n}")
+    theta = THETA[kind]
     p, q = theta.numerator, theta.denominator
-    # n^theta * 2^prec lies between the integer q-th roots of n^p * 2^(q*prec)
-    lo, hi = _iroot_bracket(n**p << (q * prec), q)
-    with working_precision(prec):
+    # n^theta * 2^P lies between the integer q-th roots of n^p * 2^(qP), P = precision
+    lo, hi = _iroot_bracket(n**p << (q * precision), q)
+    with working_precision(precision):
         power = iv.make_mpf((
-            from_man_exp(lo, -prec, prec, round_floor),
-            from_man_exp(hi, -prec, prec, round_ceiling),
+            from_man_exp(lo, -precision, precision, round_floor),
+            from_man_exp(hi, -precision, precision, round_ceiling),
         ))
         return LogEstimate(
             n=n,
@@ -242,11 +235,11 @@ def _estimate(kind: SequenceKind, n: int, base: int, precision: int | None) -> L
         )
 
 
-def log_p_estimate(n: int, base: int, precision: int | None = None) -> LogEstimate:
+def log_p_estimate(n: int, base: int, precision: int = DEFAULT_PRECISION) -> LogEstimate:
     """Midpoint and envelope for log_b p(n), valid for n >= 4."""
     return _estimate(SequenceKind.PARTITION, n, base, precision)
 
 
-def log_pl_estimate(n: int, base: int, precision: int | None = None) -> LogEstimate:
+def log_pl_estimate(n: int, base: int, precision: int = DEFAULT_PRECISION) -> LogEstimate:
     """Midpoint and envelope for log_b PL(n), valid for n >= 2829."""
     return _estimate(SequenceKind.PLANE_PARTITION, n, base, precision)

@@ -49,6 +49,8 @@ def ln_base(base: int, precision: int):
     Its endpoints are mpf_log rounded down and up, those of
     iv.log(iv.mpf(base)) at that precision; cached per (base, precision).
     """
+    if precision < 8:
+        raise ValueError(f"precision must be at least 8 bits, got {precision}")
     b = from_int(base)
     return iv.make_mpf((mpf_log(b, precision, round_floor), mpf_log(b, precision, round_ceiling)))
 

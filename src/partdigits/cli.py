@@ -86,22 +86,25 @@ def build_parser() -> argparse.ArgumentParser:
             "search, and certified first-hit bounds."
         ),
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--precision", type=int, default=DEFAULT_PRECISION, metavar="BITS",
-        help=f"working precision in bits (default {DEFAULT_PRECISION}; census ignores it)",
-    )
-    common.add_argument(
+    # Each command takes only the options it reads (README "CLI").
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument(
         "--output", choices=("json", "csv", "text"), default="json",
         help="report format (default json)",
     )
-    common.add_argument(
+    tables = argparse.ArgumentParser(add_help=False)
+    tables.add_argument(
         "--memory-budget", type=_parse_bytes, default=DEFAULT_MEMORY_BUDGET,
         metavar="BYTES", help="exact-table byte cap; suffixes K/M/G accepted (default 4G)",
     )
-    common.add_argument(
+    tables.add_argument(
         "--cache", metavar="DIR", default=None,
         help=f"table cache directory (fallback: ${ENV_CACHE_DIR})",
+    )
+    precision = argparse.ArgumentParser(add_help=False)
+    precision.add_argument(
+        "--precision", type=int, default=DEFAULT_PRECISION, metavar="BITS",
+        help=f"working precision in bits (default {DEFAULT_PRECISION})",
     )
 
     sized = argparse.ArgumentParser(add_help=False)
@@ -112,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_search = sub.add_parser("search", parents=[common, sized],
+    p_search = sub.add_parser("search", parents=[output, tables, sized],
                               help="smallest n whose value starts with the digit string")
     p_search.add_argument("--digits", required=True, metavar="F",
                           help="target digit string in the given base (0-9a-z)")
@@ -120,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="scan horizon (default: the uncertified closed form theorem_bound)")
     p_search.set_defaults(handler=_cmd_search)
 
-    p_bound = sub.add_parser("bound", parents=[common, sized],
+    p_bound = sub.add_parser("bound", parents=[output, precision, sized],
                              help="first-hit bound and threshold breakdown")
     p_bound.add_argument("--t", type=int, required=True, metavar="T",
                          help="digit-string length")
@@ -128,13 +131,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="specific digit string for the actual-delta breakdown")
     p_bound.set_defaults(handler=_cmd_bound)
 
-    p_verify = sub.add_parser("verify", parents=[common, sized],
+    p_verify = sub.add_parser("verify", parents=[output, tables, sized],
                               help="first hit for every t-digit string vs the bound")
     p_verify.add_argument("--t", type=int, required=True, metavar="T",
                           help="digit-string length")
     p_verify.set_defaults(handler=_cmd_verify)
 
-    p_census = sub.add_parser("census", parents=[common, sized],
+    p_census = sub.add_parser("census", parents=[output, tables, sized],
                               help="leading-digit frequencies over n = 1..N")
     p_census.add_argument("--t", type=int, required=True, metavar="T",
                           help="digit-string length")
@@ -142,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="last table index to count")
     p_census.set_defaults(handler=_cmd_census)
 
-    p_self = sub.add_parser("selftest", parents=[common],
+    p_self = sub.add_parser("selftest", parents=[output, precision],
                             help="reduced-scale oracle and envelope checks")
     p_self.set_defaults(handler=_cmd_selftest)
 
@@ -171,8 +174,9 @@ def main() -> None:
 
 
 def _validate_common(args) -> None:
-    if args.precision < 64:
-        raise ValueError(f"precision must be at least 64 bits, got {args.precision}")
+    precision = getattr(args, "precision", None)
+    if precision is not None and precision < 64:
+        raise ValueError(f"precision must be at least 64 bits, got {precision}")
     base = getattr(args, "base", None)
     if base is not None and not 2 <= base <= MAX_TEXT_BASE:
         raise ValueError(f"base must be in 2..{MAX_TEXT_BASE}, got {base}")
@@ -292,11 +296,9 @@ def _cmd_search(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"limit must be >= 0, got {args.limit}")
     with _cached_table(args, kind) as table:
-        result = find_min_n(kind, f, args.limit, table=table, precision=args.precision)
+        result = find_min_n(kind, f, args.limit, table=table)
     if result is None:
-        horizon = args.limit if args.limit is not None else theorem_bound(
-            kind, f.base, f.t, args.precision
-        )
+        horizon = args.limit if args.limit is not None else theorem_bound(kind, f.base, f.t)
         print(
             f"not found: no n <= {horizon} with {kind.value}(n) starting '{f}'",
             file=sys.stderr,
@@ -328,7 +330,7 @@ def _bound_breakdown(params, delta, precision: int) -> dict:
 def _cmd_bound(args) -> int:
     kind = SequenceKind(args.kind)
     b, t, prec = args.base, args.t, args.precision
-    tb = theorem_bound(kind, b, t, prec)  # also validates (b, t)
+    tb = theorem_bound(kind, b, t)  # also validates (b, t)
     if args.digits is not None:
         f = DigitString.parse(args.digits, b)
         if f.t != t:
@@ -366,7 +368,7 @@ def _cmd_bound(args) -> int:
 def _cmd_verify(args) -> int:
     kind = SequenceKind(args.kind)
     with _cached_table(args, kind) as table:
-        report = verify_theorem(kind, args.base, args.t, precision=args.precision, table=table)
+        report = verify_theorem(kind, args.base, args.t, table=table)
     results = report.results
     text = chain(
         [f"{kind.value} base {report.base} t {report.t}: "

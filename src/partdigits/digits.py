@@ -179,19 +179,19 @@ def _log_int(value: int, base: int, precision: int, less: int | None):
     ))
 
 
-def log_value_interval(value: int, base: int, precision: int | None = None):
+def log_value_interval(value: int, base: int, precision: int = DEFAULT_PRECISION):
     """Certified enclosure of log_base(value), value >= 1 exact."""
-    return _log_int(value, base, precision or DEFAULT_PRECISION, 0)
+    return _log_int(value, base, precision, 0)
 
 
-def frac_log(n: int, base: int, precision: int | None = None):
+def frac_log(n: int, base: int, precision: int = DEFAULT_PRECISION):
     """Certified enclosure of the fractional part of log_base(n), n >= 1.
 
     The enclosure never straddles an integer: it is the log enclosure
     shifted down by the exact digit count minus one, and exact powers of
     the base return the zero-width interval [0, 0].
     """
-    return _log_int(n, base, precision or DEFAULT_PRECISION, None)
+    return _log_int(n, base, precision, None)
 
 
 @dataclass(eq=False)
@@ -218,10 +218,9 @@ class TargetInterval:
         return membership_half_open(x, self.lo, self.hi)
 
 
-def target_interval(f: DigitString, precision: int | None = None) -> TargetInterval:
+def target_interval(f: DigitString, precision: int = DEFAULT_PRECISION) -> TargetInterval:
     """Fractional-part window for digit string f, with certified endpoints."""
-    prec = precision or DEFAULT_PRECISION
     shift = f.t - 1
-    lo = _log_int(f.value, f.base, prec, shift)
-    hi = _log_int(f.value + 1, f.base, prec, shift)
+    lo = _log_int(f.value, f.base, precision, shift)
+    hi = _log_int(f.value + 1, f.base, precision, shift)
     return TargetInterval(f=f, lo=lo, hi=hi)

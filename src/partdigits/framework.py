@@ -96,10 +96,10 @@ def _pos_pow(x, e):
 
 
 def compute_bounds(
-    params: FrameworkParams, delta, precision: int | None = None
+    params: FrameworkParams, delta, precision: int = DEFAULT_PRECISION
 ) -> FrameworkBounds:
     """Thresholds L1..L4, step scale D, and the integer first-hit bound."""
-    with working_precision(precision or DEFAULT_PRECISION):
+    with working_precision(precision):
         d = as_interval(delta)
         if not (inf(d) > 0 and sup(d) <= 1):
             raise ValueError("delta must be certainly inside (0, 1]")
@@ -126,7 +126,7 @@ def model_value(params: FrameworkParams, n: int, power):
     return params.c1 * power + params.c2 * iv.log(n) + params.c3
 
 
-def find_m_a_delta(g, K: int, a, delta, scan_limit: int, precision: int | None = None):
+def find_m_a_delta(g, K: int, a, delta, scan_limit: int, precision: int = DEFAULT_PRECISION):
     """Smallest m in [K, scan_limit] with {g(m)} in [a, a + delta), or None.
 
     g maps an integer to a certified enclosure of a real.  Every membership
@@ -138,7 +138,7 @@ def find_m_a_delta(g, K: int, a, delta, scan_limit: int, precision: int | None =
         raise ValueError(f"K must be >= 1, got {K}")
     if scan_limit < K:
         raise ValueError(f"scan_limit {scan_limit} is below K = {K}")
-    with working_precision(precision or DEFAULT_PRECISION):
+    with working_precision(precision):
         lo = as_interval(a)
         d = as_interval(delta)
         hi = lo + d

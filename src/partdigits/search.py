@@ -20,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .asymptotics import theorem_bound
+from .certified import DEFAULT_PRECISION
 from .digits import (
     DigitString,
     TargetInterval,
@@ -61,7 +62,7 @@ class VerificationReport:
 
 
 def decide_membership(
-    value: int, target: TargetInterval, precision: int | None = None
+    value: int, target: TargetInterval, precision: int = DEFAULT_PRECISION
 ) -> tuple[bool, bool]:
     """Does `value` start with target.f?  Returns (decision, used_exact_fallback).
 
@@ -154,16 +155,17 @@ def find_min_n(
     limit: int | None = None,
     *,
     table: SequenceTable | None = None,
-    precision: int | None = None,
 ) -> SearchResult | None:
     """Smallest n (from 0) with the table value leading with f, or None.
 
-    `limit` defaults to theorem_bound(kind, f.base, f.t), the paper's
-    closed-form horizon, which is not certified.  Values with fewer than t
-    digits are skipped.  A supplied `table` is reused and grown in place.
+    An exact scan: no precision enters it.  `limit` defaults to
+    theorem_bound(kind, f.base, f.t), the paper's closed-form horizon,
+    which is not certified; the result's `bound` is that horizon whatever
+    the limit.  Values with fewer than t digits are skipped.  A supplied
+    `table` is reused and grown in place.
     """
     kind = SequenceKind(kind)
-    bound = theorem_bound(kind, f.base, f.t, precision)
+    bound = theorem_bound(kind, f.base, f.t)
     if limit is None:
         limit = bound
     if limit < 0:
@@ -181,17 +183,17 @@ def verify_theorem(
     base: int,
     t: int,
     *,
-    precision: int | None = None,
     table: SequenceTable | None = None,
 ) -> VerificationReport:
     """First hit for every t-digit base-b string, checked against the bound.
 
     Equivalent to running find_min_n per f over one shared table, done as a
-    single scan that stops once every digit string has been seen.
+    single exact scan, up to theorem_bound(kind, base, t), that stops once
+    every digit string has been seen.  No precision enters it.
     """
     kind = SequenceKind(kind)
     started = time.monotonic()
-    bound = theorem_bound(kind, base, t, precision)
+    bound = theorem_bound(kind, base, t)
     table = _table_for(kind, table)
     strings = all_digit_strings(base, t)
     first_hit: dict[int, int] = {}

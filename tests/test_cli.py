@@ -256,6 +256,30 @@ def test_usage_errors(capsys):
         assert err
 
 
+def test_each_command_takes_only_the_options_it_reads(capsys, tmp_path):
+    # the exact scans take no precision
+    for argv in (
+        ("search", "--kind", "p", "--base", "10", "--digits", "7"),
+        ("verify", "--kind", "p", "--base", "10", "--t", "1"),
+        ("census", "--kind", "p", "--base", "10", "--t", "1", "--limit", "10"),
+    ):
+        code, out, err = _run(capsys, *argv, "--precision", "96")
+        assert code == EXIT_USAGE and not out, argv
+        assert "unrecognized arguments: --precision 96" in err, argv
+    # the certified commands read no table
+    cache = tmp_path / "cache"
+    for argv in (("bound", "--kind", "p", "--base", "10", "--t", "1"), ("selftest",)):
+        for flag in (("--cache", str(cache)), ("--memory-budget", "1M")):
+            code, out, err = _run(capsys, *argv, *flag)
+            assert code == EXIT_USAGE and not out, (argv, flag)
+            assert f"unrecognized arguments: {flag[0]}" in err, (argv, flag)
+    assert not cache.exists()
+    code, out, _ = _run(
+        capsys, "bound", "--kind", "p", "--base", "10", "--t", "1", "--precision", "96"
+    )
+    assert code == EXIT_OK and json.loads(out)["theorem_bound"] == 5470
+
+
 def test_argparse_errors_map_to_usage(capsys):
     assert run(["search", "--kind", "p"]) == EXIT_USAGE  # missing required flags
     assert run(["no-such-command"]) == EXIT_USAGE

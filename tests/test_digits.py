@@ -250,6 +250,17 @@ def test_certified_logs_ignore_the_working_precision():
             assert _certified_answers() == outside, bits
 
 
+def test_log_enclosures_refuse_a_precision_below_8_bits():
+    # 0 is a precision like any other: it is refused, not read as the default
+    for precision in (0, 7):
+        with pytest.raises(ValueError, match="at least 8 bits"):
+            log_value_interval(5, 10, precision)
+        with pytest.raises(ValueError, match="at least 8 bits"):
+            frac_log(5, 10, precision)
+        with pytest.raises(ValueError, match="at least 8 bits"):
+            target_interval(DigitString.parse("5", 10), precision)
+
+
 def test_as_interval_takes_a_pair():
     for pair in ((1, 2), [1, 2]):
         x = as_interval(pair)

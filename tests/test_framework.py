@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 from mpmath import iv, mpf
 
@@ -132,6 +133,22 @@ def test_theorem_bound_values():
     assert theorem_bound(SequenceKind.PARTITION, 2, 2) == 9658
     assert theorem_bound(SequenceKind.PARTITION, 16, 1) == 9658
     assert theorem_bound(SequenceKind.PLANE_PARTITION, 10, 1) == 266051
+
+
+@pytest.mark.parametrize("kind, base, t", [
+    (SequenceKind.PARTITION, 10, 28),
+    (SequenceKind.PARTITION, 16, 24),
+    (SequenceKind.PLANE_PARTITION, 10, 35),
+    (SequenceKind.PLANE_PARTITION, 16, 30),
+])
+def test_theorem_bound_is_the_ceiling_of_the_closed_form(kind, base, t):
+    # the closed form at 2048 bits, far more than these ceilings need; a
+    # horizon evaluated at a fixed 192 bits lands a few units above them
+    coeff, exponent = (290, 2) if kind is SequenceKind.PARTITION else (29396, mpmath.mpf(3) / 2)
+    with mpmath.workprec(2048):
+        exact = coeff * (mpmath.mpf(base) ** t / mpmath.log(base)) ** exponent
+        expected = int(mpmath.ceil(exact))
+    assert theorem_bound(kind, base, t) == expected
 
 
 def test_theorem_bound_guards():
