@@ -7,10 +7,10 @@ process and prints, per output,
     <argv> | <format> | exit <code> | stdout <sha256> | stderr <sha256>
 
 with the runtime in verify's text masked and a temporary cache directory
-shown as `<cache>`.  Run it in two checkouts and `diff` the results to
-see which outputs a change alters:
+shown as `<cache>`.  Its output is committed as scripts/output_grid.txt;
+`diff` a fresh run against it to see which outputs a change alters:
 
-    PYTHONPATH=src python3 scripts/output_grid.py > grid.txt
+    PYTHONPATH=src python3 scripts/output_grid.py | diff scripts/output_grid.txt -
 """
 from __future__ import annotations
 
@@ -40,6 +40,10 @@ def _grid():
             yield ("census", "--kind", kind, "--base", str(base), "--t", str(t),
                    "--limit", str(n))
     yield ("bound", "--kind", "p", "--base", "10", "--t", "1", "--digits", "2")
+    # past t = 2; at t = 28 the 192-bit compute_bounds ceiling sits at the
+    # edge of its precision, so a rounding change shows here first
+    for kind, t in (("p", "4"), ("pl", "3"), ("p", "28")):
+        yield ("bound", "--kind", kind, "--base", "10", "--t", t)
     yield ("search", "--kind", "p", "--base", "10", "--digits", "9", "--limit", "10")
     yield ("search", "--kind", "p", "--base", "10", "--digits", "07")
     yield ("census", "--kind", "p", "--base", "10", "--t", "1", "--limit", "0")
