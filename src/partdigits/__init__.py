@@ -17,7 +17,7 @@ from .asymptotics import (
     log_pl_estimate,
     theorem_bound,
 )
-from .certified import DEFAULT_PRECISION, as_interval, working_precision
+from .certified import DEFAULT_PRECISION, as_interval
 from .digits import (
     DigitString,
     TargetInterval,
@@ -44,7 +44,6 @@ from .framework import (
     UndecidableMembershipError,
     compute_bounds,
     find_m_a_delta,
-    main_term,
 )
 from .search import (
     SearchResult,
@@ -91,10 +90,8 @@ __all__ = [
     "log_p_estimate",
     "log_pl_estimate",
     "log_value_interval",
-    "main_term",
     "sigma2",
     "target_interval",
     "theorem_bound",
     "verify_theorem",
-    "working_precision",
 ]

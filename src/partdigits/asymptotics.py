@@ -15,8 +15,10 @@ theta is the exact fraction THETA, which theorem_bound reads too.  An
 estimate is derived from them: its midpoint is the model's main term and
 its envelope c4*n^(-theta), both certified intervals.  n^theta is read off
 exact integer roots, isqrt(n * 2^(2P)) or the integer cube root of
-n^2 * 2^(3P) at working precision P, so the only transcendental call per
-estimate is log n.
+n^2 * 2^(3P) at the estimate's precision P, so the only transcendental
+call per estimate is log n.  Everything here computes on
+interval_context(P) for the P it is passed, so no result depends on
+mpmath's global precision.
 
 c4 and K are stated, not derived: nothing here proves the envelope.  For
 PL, K = 2829 is the first n where 200/n^(2/3) falls below one nat.  The
@@ -32,20 +34,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import iv
 from mpmath.libmp import from_man_exp, mpf_abs, mpf_le, mpf_sub, round_ceiling, round_floor
 
-from .certified import (
-    DEFAULT_PRECISION,
-    as_interval,
-    ceil_sup,
-    hull,
-    ln_base,
-    working_precision,
-)
+from .certified import DEFAULT_PRECISION, as_interval, ceil_sup, inf, interval_context, ln_base, sup
 from .digits import check_digit_domain
 from .engines import SequenceKind
-from .framework import FrameworkParams, model_value
+from .framework import FrameworkParams
 
 MIN_CONSTANT_PRECISION = 128
 
@@ -98,21 +92,22 @@ def eval_constants(precision: int = DEFAULT_PRECISION) -> Constants:
         raise ValueError(
             f"constants need at least {MIN_CONSTANT_PRECISION} bits, got {precision}"
         )
-    with working_precision(precision + 16):
-        lo, hi = _zeta3_fraction_bracket(precision + 16)
-        zeta3 = hull(as_interval(lo), as_interval(hi))
-        # zeta'(-1) = 1/12 - log(Glaisher), with Glaisher's constant certified
-        # by the interval context.
-        zp = iv.mpf(1) / 12 - iv.log(+iv.glaisher)
-        b = (
-            zeta3 ** (iv.mpf(7) / 36)
-            * iv.exp(zp)
-            * iv.mpf(2) ** (-iv.mpf(11) / 36)
-            / iv.sqrt(3 * iv.pi)
-        )
-        return Constants(
-            zeta3=zeta3, zeta_prime_minus_one=zp, pl_prefactor=b, precision=precision
-        )
+    ctx = interval_context(precision + 16)
+    # the hull of the bracket's two enclosures: its ends are within an ulp,
+    # so either enclosure may reach lower or higher
+    lo, hi = (as_interval(x, ctx.prec) for x in _zeta3_fraction_bracket(ctx.prec))
+    zeta3 = ctx.mpf([min(inf(lo), inf(hi)), max(sup(lo), sup(hi))])
+    # zeta'(-1) = 1/12 - log(Glaisher), with Glaisher's constant certified
+    # by the interval context.
+    zp = ctx.mpf(1) / 12 - ctx.log(+ctx.glaisher)
+    b = (
+        zeta3 ** (ctx.mpf(7) / 36)
+        * ctx.exp(zp)
+        * ctx.mpf(2) ** (-ctx.mpf(11) / 36)
+        / ctx.sqrt(3 * ctx.pi)
+    )
+    zeta3, zp, b = map(as_interval, (zeta3, zp, b))
+    return Constants(zeta3=zeta3, zeta_prime_minus_one=zp, pl_prefactor=b, precision=precision)
 
 
 @functools.cache
@@ -121,18 +116,18 @@ def _instantiate(kind: SequenceKind, base: int, prec: int) -> FrameworkParams:
     precision); every caller shares the result."""
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
-    with working_precision(prec):
-        if kind is SequenceKind.PARTITION:
-            c1 = iv.pi * iv.sqrt(iv.mpf(24)) / 6
-            c2, c3, c4, K = -1, iv.log(iv.sqrt(iv.mpf(3)) / 12), 4, P_VALID_FROM
-        else:
-            constants = eval_constants(max(prec, MIN_CONSTANT_PRECISION))
-            c1 = 3 * (constants.zeta3 / 4) ** (iv.mpf(1) / 3)
-            c2, c3, c4, K = -iv.mpf(25) / 36, iv.log(constants.pl_prefactor), 200, PL_VALID_FROM
-        lb = ln_base(base, prec)
-        return FrameworkParams(
-            c1=c1 / lb, c2=c2 / lb, c3=c3 / lb, c4=c4 / lb, theta=THETA[kind], K=K
-        )
+    ctx = interval_context(prec)
+    if kind is SequenceKind.PARTITION:
+        c1 = ctx.pi * ctx.sqrt(ctx.mpf(24)) / 6
+        c2, c3, c4, K = -1, ctx.log(ctx.sqrt(ctx.mpf(3)) / 12), 4, P_VALID_FROM
+    else:
+        constants = eval_constants(max(prec, MIN_CONSTANT_PRECISION))
+        c1 = 3 * (ctx.convert(constants.zeta3) / 4) ** (ctx.mpf(1) / 3)
+        c2, c3, c4, K = -ctx.mpf(25) / 36, ctx.log(constants.pl_prefactor), 200, PL_VALID_FROM
+    lb = ctx.convert(ln_base(base, prec))
+    return FrameworkParams(
+        c1=c1 / lb, c2=c2 / lb, c3=c3 / lb, c4=c4 / lb, theta=as_interval(THETA[kind], prec), K=K
+    )
 
 
 def instantiate_p(base: int, precision: int = DEFAULT_PRECISION) -> FrameworkParams:
@@ -165,9 +160,9 @@ def theorem_bound(kind: SequenceKind, base: int, t: int) -> int:
 def _theorem_bound(kind: SequenceKind, base: int, t: int) -> int:
     check_digit_domain(base, t)
     prec = max(DEFAULT_PRECISION, 2 * t * base.bit_length() + 64)
-    with working_precision(prec):
-        ratio = iv.mpf(base) ** t / ln_base(base, prec)
-        return ceil_sup(BOUND_COEFF[kind] * ratio ** as_interval(1 / THETA[kind]))
+    ctx = interval_context(prec)
+    ratio = ctx.mpf(base) ** t / ln_base(base, prec)
+    return ceil_sup(BOUND_COEFF[kind] * ratio ** as_interval(1 / THETA[kind]))
 
 
 @dataclass(eq=False)
@@ -188,7 +183,7 @@ class LogEstimate:
         True means proven inside; False means not provable at this width
         (which on exact inputs at sane precision only happens when the
         envelope is genuinely violated).  The endpoint differences are
-        exact, so the working precision plays no part.
+        exact, so no precision plays a part.
         """
         (v_lo, v_hi), (m_lo, m_hi) = as_interval(log_value)._mpi_, self.midpoint._mpi_
         radius = self.envelope._mpi_[0]
@@ -221,18 +216,20 @@ def _estimate(
     p, q = theta.numerator, theta.denominator
     # n^theta * 2^P lies between the integer q-th roots of n^p * 2^(qP), P = precision
     lo, hi = _iroot_bracket(n**p << (q * precision), q)
-    with working_precision(precision):
-        power = iv.make_mpf((
-            from_man_exp(lo, -precision, precision, round_floor),
-            from_man_exp(hi, -precision, precision, round_ceiling),
-        ))
-        return LogEstimate(
-            n=n,
-            base=base,
-            midpoint=model_value(params, n, power),
-            envelope=params.c4 / power,
-            valid_from=params.K,
-        )
+    ctx = interval_context(precision)
+    power = ctx.make_mpf((
+        from_man_exp(lo, -precision, precision, round_floor),
+        from_man_exp(hi, -precision, precision, round_ceiling),
+    ))
+    # make_mpf takes the endpoints in as they are, without convert's checks
+    c1, c2, c3, c4 = (ctx.make_mpf(x._mpi_) for x in (params.c1, params.c2, params.c3, params.c4))
+    return LogEstimate(
+        n=n,
+        base=base,
+        midpoint=as_interval(c1 * power + c2 * ctx.log(n) + c3),
+        envelope=as_interval(c4 / power),
+        valid_from=params.K,
+    )
 
 
 def log_p_estimate(n: int, base: int, precision: int = DEFAULT_PRECISION) -> LogEstimate:

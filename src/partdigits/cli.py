@@ -14,8 +14,8 @@ from functools import cache
 from itertools import chain
 from pathlib import Path
 
-import mpmath
-from mpmath import iv
+from mpmath import mp
+from mpmath.libmp import mpf_add, mpf_shift, round_nearest
 
 from .asymptotics import (
     instantiate_p,
@@ -24,13 +24,7 @@ from .asymptotics import (
     log_pl_estimate,
     theorem_bound,
 )
-from .certified import (
-    DEFAULT_PRECISION,
-    as_interval,
-    inf,
-    sup,
-    working_precision,
-)
+from .certified import DEFAULT_PRECISION, as_interval, inf, interval_context, sup
 from .digits import DigitString, leading_digits, log_value_interval, target_interval
 from .engines import (
     DEFAULT_MEMORY_BUDGET,
@@ -235,10 +229,12 @@ def _save_table(table: SequenceTable, path: Path | None, loaded_last: int) -> No
 RESULT_FIELDS = ("f", "n_min", "bound", "within_bound", "method")
 
 
-def _fmt(x, digits: int = 25) -> str:
-    """Deterministic decimal rendering of a certified value's midpoint."""
-    mid = (inf(x) + sup(x)) / 2
-    return mpmath.nstr(mid, digits)
+def _fmt(x, precision: int, digits: int = 25) -> str:
+    """Deterministic decimal rendering of a certified value's midpoint,
+    rounded to nearest at `precision` bits."""
+    lo, hi = as_interval(x, precision)._mpi_
+    mid = mpf_shift(mpf_add(lo, hi, precision, round_nearest), -1)
+    return mp.nstr(mp.make_mpf(mid), digits)
 
 
 def _result_dict(r: SearchResult) -> dict:
@@ -315,16 +311,11 @@ def _cmd_search(args) -> int:
 
 def _bound_breakdown(params, delta, precision: int) -> dict:
     bounds = compute_bounds(params, delta, precision=precision)
-    with working_precision(precision):
-        return {
-            "delta": _fmt(as_interval(delta)),
-            "L1": _fmt(bounds.L1),
-            "L2": _fmt(bounds.L2),
-            "L3": _fmt(bounds.L3),
-            "L4": _fmt(bounds.L4),
-            "D": _fmt(bounds.D),
-            "bound": bounds.bound,
-        }
+    return {
+        "delta": _fmt(delta, precision),
+        **{name: _fmt(getattr(bounds, name), precision) for name in ("L1", "L2", "L3", "L4", "D")},
+        "bound": bounds.bound,
+    }
 
 
 def _cmd_bound(args) -> int:
@@ -454,14 +445,13 @@ def _selftest_checks(precision: int):
             break
     checks.append(("plane-log-envelope", ok))
 
+    ctx = interval_context(precision)
     ok = True
-    with working_precision(precision):
-        for k in range(-512, 513):
-            x = iv.mpf(k) / 1024
-            lhs = iv.log(1 + x)
-            if max(abs(inf(lhs)), abs(sup(lhs))) > inf(2 * abs(x)):
-                ok = False
-                break
+    for k in range(-512, 513):
+        x = ctx.mpf(k) / 1024
+        if sup(abs(ctx.log(1 + x))) > inf(2 * abs(x)):
+            ok = False
+            break
     checks.append(("log-doubling-inequality", ok))
 
     rng = random.Random(20260816)
@@ -481,10 +471,8 @@ def _selftest_checks(precision: int):
                 ok = False
     checks.append(("digit-roundtrip", ok))
 
-    hit = find_m_a_delta(
-        lambda m: m * ((iv.sqrt(iv.mpf(5)) - 1) / 2), 1, 0, Fraction(1, 2), 50,
-        precision=precision,
-    )
+    phi = (ctx.sqrt(5) - 1) / 2
+    hit = find_m_a_delta(lambda m: m * phi, 1, 0, Fraction(1, 2), 50, precision=precision)
     checks.append(("golden-ratio-first-hit", hit == 2))
 
     return checks

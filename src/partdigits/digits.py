@@ -148,7 +148,7 @@ def _log_int(value: int, base: int, precision: int, less: int | None):
     outward by ln_base's endpoints; the upper end adds
     1/(head ln b) >= log_b(head + 1) - log_b(head), capped at w because
     head + 1 <= b^w.  Only raw endpoints are handled, every operation
-    rounded outward at `precision`, so the working precision plays no part;
+    rounded outward at `precision`, so the global precision plays no part;
     the shift z - less is added in the last rounding.  Endpoints at powers
     of b are exact, so fractional parts never spill outside [0, 1].
     """

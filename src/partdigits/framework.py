@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath import iv
-
 from .certified import (
     DEFAULT_PRECISION,
     as_interval,
@@ -31,10 +29,9 @@ from .certified import (
     floor_inf,
     frac_interval,
     inf,
-    interval_max,
+    interval_context,
     membership_half_open,
     sup,
-    working_precision,
 )
 
 
@@ -85,51 +82,41 @@ class FrameworkBounds:
     bound: int
 
 
-def _pos_pow(x, e):
-    """x**e for an enclosure x with inf(x) >= 0 (0^e taken as 0, e > 0)."""
+def _pos_pow(ctx, x, e):
+    """x**e on ctx for an enclosure x with inf(x) >= 0 (0^e taken as 0, e > 0)."""
     if inf(x) > 0:
         return x**e
-    hi = as_interval(sup(x))
-    if sup(hi) == 0:
-        return iv.mpf(0)
-    return iv.mpf([0, sup(hi**e)])
+    if sup(x) == 0:
+        return ctx.zero
+    return ctx.mpf([0, sup(ctx.convert(sup(x)) ** e)])
 
 
 def compute_bounds(
     params: FrameworkParams, delta, precision: int = DEFAULT_PRECISION
 ) -> FrameworkBounds:
     """Thresholds L1..L4, step scale D, and the integer first-hit bound."""
-    with working_precision(precision):
-        d = as_interval(delta)
-        if not (inf(d) > 0 and sup(d) <= 1):
-            raise ValueError("delta must be certainly inside (0, 1]")
-        c1, c2, c4, theta = params.c1, params.c2, params.c4, params.theta
-        inv_theta = iv.mpf(1) / theta
-        l1 = _pos_pow((-3 * c2) / (c1 * theta), inv_theta)
-        l2 = _pos_pow(3 * c4 / d, inv_theta)
-        big_d = 2 / (c1 * iv.mpf(2) ** (theta - 1) * theta)
-        l3 = big_d**inv_theta
-        l4 = (3 * c1 * theta / d) ** (iv.mpf(1) / (1 - theta))
-        bound = ceil_sup(2 * interval_max(iv.mpf(params.K), l1, l2 + 1, l3, l4))
-        return FrameworkBounds(L1=l1, L2=l2, L3=l3, L4=l4, D=big_d, bound=bound)
-
-
-def main_term(params: FrameworkParams, n: int):
-    """Enclosure of c1*n^theta + c2*log n + c3 (the model without noise)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return model_value(params, n, iv.mpf(n) ** params.theta)
-
-
-def model_value(params: FrameworkParams, n: int, power):
-    """c1*power + c2*log n + c3, for an enclosure `power` of n^theta."""
-    return params.c1 * power + params.c2 * iv.log(n) + params.c3
+    ctx = interval_context(precision)
+    d = ctx.convert(as_interval(delta, precision))
+    if not (inf(d) > 0 and sup(d) <= 1):
+        raise ValueError("delta must be certainly inside (0, 1]")
+    c1, c2, c4, theta = map(ctx.convert, (params.c1, params.c2, params.c4, params.theta))
+    inv_theta = 1 / theta
+    l1 = _pos_pow(ctx, (-3 * c2) / (c1 * theta), inv_theta)
+    l2 = _pos_pow(ctx, 3 * c4 / d, inv_theta)
+    big_d = 2 / (c1 * ctx.mpf(2) ** (theta - 1) * theta)
+    l3 = big_d**inv_theta
+    l4 = (3 * c1 * theta / d) ** (1 / (1 - theta))
+    bound = max(2 * params.K, *(ceil_sup(2 * x) for x in (l1, l2 + 1, l3, l4)))
+    l1, l2, l3, l4, big_d = map(as_interval, (l1, l2, l3, l4, big_d))
+    return FrameworkBounds(L1=l1, L2=l2, L3=l3, L4=l4, D=big_d, bound=bound)
 
 
 def find_m_a_delta(g, K: int, a, delta, scan_limit: int, precision: int = DEFAULT_PRECISION):
     """Smallest m in [K, scan_limit] with {g(m)} in [a, a + delta), or None.
 
-    g maps an integer to a certified enclosure of a real.  Every membership
+    g maps an integer to a certified enclosure of a real, at a precision g
+    chooses; `precision` rounds only inexact inputs (a, delta, or a float
+    or Fraction from g) and the window arithmetic.  Every membership
     test must be decidable at the enclosure widths g provides; a straddled
     window endpoint raises UndecidableMembershipError (there is no exact
     fallback here, because g is opaque).
@@ -138,38 +125,38 @@ def find_m_a_delta(g, K: int, a, delta, scan_limit: int, precision: int = DEFAUL
         raise ValueError(f"K must be >= 1, got {K}")
     if scan_limit < K:
         raise ValueError(f"scan_limit {scan_limit} is below K = {K}")
-    with working_precision(precision):
-        lo = as_interval(a)
-        d = as_interval(delta)
-        hi = lo + d
-        # Reject only certain precondition violations; the enclosure of
-        # a + delta may overshoot 1 by rounding even when the true sum is 1
-        # (e.g. the window of the largest digit string).
-        if sup(d) <= 0 or sup(lo) < 0 or inf(hi) > 1:
-            raise ValueError("need 0 <= a and a + delta <= 1 with delta > 0")
-        for m in range(K, scan_limit + 1):
-            x = as_interval(g(m))
-            fr = frac_interval(x)
-            if fr is None:
-                # x may straddle an integer: true fractional part lies in
-                # [u, 1) or [0, v].  Still decidable when the window avoids
-                # both pieces; otherwise give up.
-                piece = x - floor_inf(x)
-                v = piece - 1
-                if sup(hi) <= inf(piece) and inf(lo) > sup(v):
-                    continue
-                raise UndecidableMembershipError(
-                    m,
-                    f"value at m = {m} straddles an integer at the working "
-                    f"precision; supply tighter enclosures from g",
-                )
-            decision = membership_half_open(fr, lo, hi)
-            if decision is True:
-                return m
-            if decision is None:
-                raise UndecidableMembershipError(
-                    m,
-                    f"membership at m = {m} straddles a window endpoint at "
-                    f"the working precision; supply tighter enclosures from g",
-                )
-        return None
+    ctx = interval_context(precision)
+    lo = ctx.convert(as_interval(a, precision))
+    d = ctx.convert(as_interval(delta, precision))
+    hi = lo + d
+    # Reject only certain precondition violations; the enclosure of
+    # a + delta may overshoot 1 by rounding even when the true sum is 1
+    # (e.g. the window of the largest digit string).
+    if sup(d) <= 0 or sup(lo) < 0 or inf(hi) > 1:
+        raise ValueError("need 0 <= a and a + delta <= 1 with delta > 0")
+    for m in range(K, scan_limit + 1):
+        x = ctx.convert(as_interval(g(m), precision))
+        fr = frac_interval(x)
+        if fr is None:
+            # x may straddle an integer: true fractional part lies in
+            # [u, 1) or [0, v].  Still decidable when the window avoids
+            # both pieces; otherwise give up.
+            piece = x - floor_inf(x)
+            v = piece - 1
+            if sup(hi) <= inf(piece) and inf(lo) > sup(v):
+                continue
+            raise UndecidableMembershipError(
+                m,
+                f"value at m = {m} straddles an integer at the working "
+                f"precision; supply tighter enclosures from g",
+            )
+        decision = membership_half_open(fr, lo, hi)
+        if decision is True:
+            return m
+        if decision is None:
+            raise UndecidableMembershipError(
+                m,
+                f"membership at m = {m} straddles a window endpoint at "
+                f"the working precision; supply tighter enclosures from g",
+            )
+    return None

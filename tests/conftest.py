@@ -1,4 +1,5 @@
-"""Shared fixtures: the two big exact tables are built once per session.
+"""Shared fixtures: the two big exact tables, built once per session, and
+the reference main term of the growth model.
 
 The partition table to 5e4 takes about 1.1 s and the plane-partition
 table to 2e4 about 27 s (2-core x86 VM, CPython 3.11), so neither is
@@ -9,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from partdigits import SequenceKind, SequenceTable
+from partdigits.certified import interval_context
 
 P_TABLE_MAX = 50_000
 PL_TABLE_MAX = 20_000
@@ -26,3 +28,19 @@ def pl_table() -> SequenceTable:
     table = SequenceTable(SequenceKind.PLANE_PARTITION)
     table.extend(PL_TABLE_MAX)
     return table
+
+
+def _main_term(params, n: int, precision: int = 192):
+    """Enclosure of c1*n^theta + c2*log n + c3 (the model without noise),
+    by an interval power at `precision` bits: the tests' reference for the
+    estimates' integer-root midpoints."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    ctx = interval_context(precision)
+    c1, c2, c3, theta = map(ctx.convert, (params.c1, params.c2, params.c3, params.theta))
+    return c1 * ctx.mpf(n) ** theta + c2 * ctx.log(n) + c3
+
+
+@pytest.fixture
+def main_term():
+    return _main_term

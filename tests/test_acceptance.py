@@ -11,7 +11,6 @@ import time
 from fractions import Fraction
 
 import mpmath
-from mpmath import iv
 
 from partdigits import (
     DigitString,
@@ -34,9 +33,8 @@ from partdigits import (
     target_interval,
     theorem_bound,
     verify_theorem,
-    working_precision,
 )
-from partdigits.certified import inf, sup
+from partdigits.certified import inf, interval_context, sup
 
 
 def _report(number: int, label: str, ok: bool, detail: str = "") -> bool:
@@ -92,48 +90,50 @@ def test_acceptance_3_plane_log_envelope(pl_table):
     )
 
 
-def _certified_distance(x, y) -> float:
-    diff = x - y
+def _certified_distance(x, ref) -> float:
+    # ref, a value of the reference's context, on the left: the difference
+    # rounds at that context's precision
+    diff = ref - x
     return float(max(abs(inf(diff)), abs(sup(diff))))
 
 
 def test_acceptance_4_instantiation_closed_forms():
     tol = 1e-20
     worst = 0.0
-    with working_precision(256):
-        a3 = eval_constants(256).zeta3
-        for b in (2, 10, 16):
-            lb = iv.log(iv.mpf(b))
-            params_p = instantiate_p(b, 256)
-            params_pl = instantiate_pl(b, 256)
-            for t in (1, 2, 3):
-                delta = Fraction(1, b**t)
-                bp = compute_bounds(params_p, delta, 256)
-                worst = max(
-                    worst,
-                    _certified_distance(bp.L1, 54 / iv.pi**2),
-                    _certified_distance(bp.L2, 144 * iv.mpf(b) ** (2 * t) / lb**2),
-                    _certified_distance(bp.D, 4 * iv.sqrt(iv.mpf(3)) / iv.pi * lb),
-                    _certified_distance(bp.L3, 48 / iv.pi**2 * lb**2),
-                    _certified_distance(
-                        bp.L4, iv.mpf(3) * iv.pi**2 / 2 * iv.mpf(b) ** (2 * t) / lb**2
-                    ),
-                )
-                bpl = compute_bounds(params_pl, delta, 256)
-                worst = max(
-                    worst,
-                    _certified_distance(bpl.L1, 125 / (24 * iv.sqrt(iv.mpf(6)) * iv.sqrt(a3))),
-                    _certified_distance(
-                        bpl.L2,
-                        iv.mpf(600) ** (iv.mpf(3) / 2)
-                        * iv.mpf(b) ** (iv.mpf(3 * t) / 2)
-                        / lb ** (iv.mpf(3) / 2),
-                    ),
-                    _certified_distance(bpl.D, 2 * lb / a3 ** (iv.mpf(1) / 3)),
-                    _certified_distance(
-                        bpl.L3, (2 * lb / a3 ** (iv.mpf(1) / 3)) ** (iv.mpf(3) / 2)
-                    ),
-                )
+    ctx = interval_context(256)
+    a3 = ctx.convert(eval_constants(256).zeta3)
+    for b in (2, 10, 16):
+        lb = ctx.log(b)
+        params_p = instantiate_p(b, 256)
+        params_pl = instantiate_pl(b, 256)
+        for t in (1, 2, 3):
+            delta = Fraction(1, b**t)
+            bp = compute_bounds(params_p, delta, 256)
+            worst = max(
+                worst,
+                _certified_distance(bp.L1, 54 / ctx.pi**2),
+                _certified_distance(bp.L2, 144 * ctx.mpf(b) ** (2 * t) / lb**2),
+                _certified_distance(bp.D, 4 * ctx.sqrt(ctx.mpf(3)) / ctx.pi * lb),
+                _certified_distance(bp.L3, 48 / ctx.pi**2 * lb**2),
+                _certified_distance(
+                    bp.L4, ctx.mpf(3) * ctx.pi**2 / 2 * ctx.mpf(b) ** (2 * t) / lb**2
+                ),
+            )
+            bpl = compute_bounds(params_pl, delta, 256)
+            worst = max(
+                worst,
+                _certified_distance(bpl.L1, 125 / (24 * ctx.sqrt(ctx.mpf(6)) * ctx.sqrt(a3))),
+                _certified_distance(
+                    bpl.L2,
+                    ctx.mpf(600) ** (ctx.mpf(3) / 2)
+                    * ctx.mpf(b) ** (ctx.mpf(3 * t) / 2)
+                    / lb ** (ctx.mpf(3) / 2),
+                ),
+                _certified_distance(bpl.D, 2 * lb / a3 ** (ctx.mpf(1) / 3)),
+                _certified_distance(
+                    bpl.L3, (2 * lb / a3 ** (ctx.mpf(1) / 3)) ** (ctx.mpf(3) / 2)
+                ),
+            )
     ok = worst <= tol
     assert _report(
         4, "closed-form L thresholds on b in {2,10,16}, t in {1,2,3}", ok,
@@ -169,13 +169,13 @@ def test_acceptance_5_theorem_desk_scale(p_table, pl_table):
     if not verify_theorem(SequenceKind.PLANE_PARTITION, 10, 1, table=pl_table).all_within_bound:
         failures.append(("pl", 10, 1))
     # bounds must come from the published closed forms
-    with working_precision(192):
-        formula_p = iv.mpf(290) * 100 / iv.log(iv.mpf(10)) ** 2
-        formula_pl = iv.mpf(29396) * iv.mpf(10) ** (iv.mpf(3) / 2) / iv.log(iv.mpf(10)) ** (iv.mpf(3) / 2)
-        bounds_ok = (
-            theorem_bound(SequenceKind.PARTITION, 10, 1) == int(mpmath.ceil(sup(formula_p)))
-            and theorem_bound(SequenceKind.PLANE_PARTITION, 10, 1) == int(mpmath.ceil(sup(formula_pl)))
-        )
+    ctx = interval_context(192)
+    formula_p = ctx.mpf(290) * 100 / ctx.log(10) ** 2
+    formula_pl = ctx.mpf(29396) * ctx.mpf(10) ** (ctx.mpf(3) / 2) / ctx.log(10) ** (ctx.mpf(3) / 2)
+    bounds_ok = (
+        theorem_bound(SequenceKind.PARTITION, 10, 1) == int(mpmath.ceil(sup(formula_p)))
+        and theorem_bound(SequenceKind.PLANE_PARTITION, 10, 1) == int(mpmath.ceil(sup(formula_pl)))
+    )
     ok = not failures and bounds_ok
     assert _report(
         5, "first hits within the closed-form bounds (p: b 3..16 and (2,2); pl: (10,1))", ok,
@@ -266,12 +266,12 @@ def test_acceptance_8_log_doubling_bound():
             bad += 1
     elapsed = time.monotonic() - started
     # certified spot confirmation on the dyadic subgrid
-    with working_precision(64):
-        for k in range(-512, 513):
-            xi = iv.mpf(k) / 1024
-            lhs = iv.log(1 + xi)
-            if max(abs(inf(lhs)), abs(sup(lhs))) > inf(2 * abs(xi)):
-                bad += 1
+    ctx = interval_context(64)
+    for k in range(-512, 513):
+        xi = ctx.mpf(k) / 1024
+        lhs = ctx.log(1 + xi)
+        if sup(abs(lhs)) > inf(2 * abs(xi)):
+            bad += 1
     ok = bad == 0 and elapsed < 1
     assert _report(
         8, "|log(1+x)| <= 2|x| on the 1e5-point grid of [-1/2, 1/2]", ok,

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from mpmath import iv, mpf
+from mpmath import mpf
 
 from partdigits import (
     eval_constants,
@@ -14,8 +14,6 @@ from partdigits import (
     log_p_estimate,
     log_pl_estimate,
     log_value_interval,
-    main_term,
-    working_precision,
 )
 from partdigits.asymptotics import (
     MIN_CONSTANT_PRECISION,
@@ -23,7 +21,7 @@ from partdigits.asymptotics import (
     PL_VALID_FROM,
     _iroot_bracket,
 )
-from partdigits.certified import inf, sup, width
+from partdigits.certified import inf, interval_context, sup
 
 # 50-digit references computed once by scripts/compute_reference_constants.py
 # with mpmath at 60 decimal digits; pinned here as an independent cross-check.
@@ -36,9 +34,9 @@ def _matches_decimal(enclosure, decimal: str) -> bool:
     # The pinned strings are truncated at 50 digits, so the certified
     # enclosure (width < 1e-40) sits near but not on the parsed value;
     # require the enclosure to land inside a 1e-38 ball around it.
-    with working_precision(256):
-        ball = iv.mpf(decimal) + iv.mpf([-1, 1]) * iv.mpf(10) ** -38
-        return inf(ball) <= inf(enclosure) and sup(enclosure) <= sup(ball)
+    ctx = interval_context(256)
+    ball = ctx.mpf(decimal) + ctx.mpf([-1, 1]) * ctx.mpf(10) ** -38
+    return inf(ball) <= inf(enclosure) and sup(enclosure) <= sup(ball)
 
 
 def test_constants_match_references():
@@ -47,7 +45,7 @@ def test_constants_match_references():
     assert _matches_decimal(consts.zeta_prime_minus_one, ZETA_PRIME_REF)
     assert _matches_decimal(consts.pl_prefactor, PREFACTOR_REF)
     for enc in (consts.zeta3, consts.zeta_prime_minus_one, consts.pl_prefactor):
-        assert width(enc) < mpf(10) ** -40
+        assert sup(enc) - inf(enc) < mpf(10) ** -40
 
 
 def test_constants_displayed_digits():
@@ -61,12 +59,14 @@ def test_constants_displayed_digits():
 def test_constants_converge_with_precision():
     lo = eval_constants(128)
     hi = eval_constants(256)
-    assert width(hi.zeta3) < width(lo.zeta3)
-    assert abs((inf(hi.zeta3) + sup(hi.zeta3)) / 2 - (inf(lo.zeta3) + sup(lo.zeta3)) / 2) <= width(lo.zeta3)
+    assert sup(hi.zeta3) - inf(hi.zeta3) < sup(lo.zeta3) - inf(lo.zeta3)
+    assert abs(
+        (inf(hi.zeta3) + sup(hi.zeta3)) / 2 - (inf(lo.zeta3) + sup(lo.zeta3)) / 2
+    ) <= sup(lo.zeta3) - inf(lo.zeta3)
     assert abs(
         (inf(hi.zeta_prime_minus_one) + sup(hi.zeta_prime_minus_one)) / 2
         - (inf(lo.zeta_prime_minus_one) + sup(lo.zeta_prime_minus_one)) / 2
-    ) <= width(lo.zeta_prime_minus_one)
+    ) <= sup(lo.zeta_prime_minus_one) - inf(lo.zeta_prime_minus_one)
 
 
 def test_constants_precision_guard():
@@ -85,9 +85,8 @@ def test_log_p_estimate_contains_exact_values(p_table):
 def test_log_p_estimate_envelope_values():
     # n = 4: envelope 4/(2 ln 10) = 2/ln 10
     est = log_p_estimate(4, 10)
-    with working_precision(192):
-        expected = 2 / iv.log(iv.mpf(10))
-        assert inf(expected) <= sup(est.envelope) and inf(est.envelope) <= sup(expected)
+    expected = 2 / interval_context(192).log(10)
+    assert inf(expected) <= sup(est.envelope) and inf(est.envelope) <= sup(expected)
     # n = 10^6, base 2: envelope 4/(1000 ln 2)
     est = log_p_estimate(10**6, 2)
     mid = (inf(est.envelope) + sup(est.envelope)) / 2
@@ -114,21 +113,21 @@ def test_log_pl_midpoint_residual(pl_table):
     # n = 2829 and shrinks after; a wrong prefactor B shifts it by ln of
     # the ratio (0.199 nats for the formula this replaced), far inside the
     # envelope of 200/n^(2/3) nats up to n ~ 3e4.
+    ctx = interval_context(192)
     for b in (2, 10):
         for n in (2829, 8000, 20_000):
             est = log_pl_estimate(n, b)
-            with working_precision(192):
-                log_value = log_value_interval(pl_table[n], b)
-                residual = (log_value - est.midpoint) * iv.log(iv.mpf(b))
+            log_value = ctx.convert(log_value_interval(pl_table[n], b))
+            residual = (log_value - est.midpoint) * ctx.log(b)
             assert max(abs(inf(residual)), abs(sup(residual))) < 2e-3
 
 
 def test_log_pl_envelope_at_threshold():
     # envelope * log b at n = 2829 is 200/2829^(2/3), just below 1
     est = log_pl_estimate(2829, 10)
-    with working_precision(192):
-        prod = est.envelope * iv.log(iv.mpf(10))
-        mid = (inf(prod) + sup(prod)) / 2
+    ctx = interval_context(192)
+    prod = ctx.convert(est.envelope) * ctx.log(10)
+    mid = (inf(prod) + sup(prod)) / 2
     assert abs(mid - mpf("0.999864994794348")) < 1e-12
     assert sup(prod) < 1
 
@@ -142,12 +141,12 @@ def test_log_pl_estimate_guards():
 
 def test_base_change_consistency():
     # midpoint * log b is the natural-log estimate, independent of b
+    ctx = interval_context(192)
     for n in (10, 1234):
         ref = None
         for b in (2, 10, 16):
             est = log_p_estimate(n, b)
-            with working_precision(192):
-                nat = est.midpoint * iv.log(iv.mpf(b))
+            nat = ctx.convert(est.midpoint) * ctx.log(b)
             if ref is None:
                 ref = nat
             else:
@@ -156,12 +155,12 @@ def test_base_change_consistency():
 
 def test_log_doubling_inequality_spot():
     # |log(1+x)| <= 2|x| for |x| <= 1/2, certified on a coarse grid
-    with working_precision(128):
-        for k in range(-64, 65):
-            x = iv.mpf(k) / 128
-            lhs = iv.log(1 + x)
-            bound = 2 * abs(x)
-            assert max(abs(inf(lhs)), abs(sup(lhs))) <= inf(bound) or k == 0
+    ctx = interval_context(128)
+    for k in range(-64, 65):
+        x = ctx.mpf(k) / 128
+        lhs = ctx.log(1 + x)
+        bound = 2 * abs(x)
+        assert sup(abs(lhs)) <= inf(bound) or k == 0
 
 
 @pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(2, 3)])
@@ -194,9 +193,10 @@ def test_integer_root_bracket(theta):
             assert (lo == hi) == (m == k**q), (k, m - k**q)
 
 
-def test_estimates_match_the_interval_power_formula():
+def test_estimates_match_the_interval_power_formula(main_term):
     # the integer-root estimates agree with main_term and c4 * n^-theta
     # computed by interval powers, and are at most twice as wide
+    ctx = interval_context(192)
     grids = (
         (log_p_estimate, instantiate_p, (4, 5, 10, 99, 100, 1000, 12_345, 50_000, 10**6, 10**12)),
         (log_pl_estimate, instantiate_pl, (2829, 3000, 8000, 20_000, 10**6, 10**12)),
@@ -206,9 +206,8 @@ def test_estimates_match_the_interval_power_formula():
             params = instantiate(b)
             for n in ns:
                 est = estimate(n, b)
-                with working_precision(192):
-                    mid = main_term(params, n)
-                    env = params.c4 * iv.mpf(n) ** -params.theta
+                mid = main_term(params, n)
+                env = ctx.convert(params.c4) * ctx.mpf(n) ** -ctx.convert(params.theta)
                 for ours, ref in ((est.midpoint, mid), (est.envelope, env)):
                     assert inf(ours) <= sup(ref) and inf(ref) <= sup(ours), (n, b)
-                    assert width(ours) <= 2 * width(ref), (n, b)
+                    assert sup(ours) - inf(ours) <= 2 * (sup(ref) - inf(ref)), (n, b)

@@ -7,14 +7,31 @@ import re
 import struct
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 import pytest
+from mpmath import iv, mp
 
 import partdigits
+import partdigits.asymptotics as asymptotics
+import partdigits.certified as certified
 import partdigits.cli as cli
-from partdigits import SequenceKind, SequenceTable
+from partdigits import (
+    DigitString,
+    FrameworkParams,
+    SequenceKind,
+    SequenceTable,
+    as_interval,
+    compute_bounds,
+    instantiate_p,
+    instantiate_pl,
+    log_p_estimate,
+    log_pl_estimate,
+    target_interval,
+    theorem_bound,
+)
 from partdigits.cli import (
     EXIT_FINDINGS,
     EXIT_OK,
@@ -597,6 +614,61 @@ def test_selftest(capsys):
     assert code == EXIT_OK
     assert "all_pass True" in out
     assert out.count("PASS") == 8
+
+
+# the functions memoised per precision, cleared so that each run below
+# computes its answers afresh
+_PRECISION_CACHES = (
+    certified.interval_context,
+    certified.ln_base,
+    asymptotics.eval_constants,
+    asymptotics._instantiate,
+    asymptotics._theorem_bound,
+)
+
+
+def _certified_answers(capsys):
+    """Exact endpoints and outputs of every certified layer, at 64, 192 and 384 bits."""
+    answers = []
+    for precision in (64, 192, 384):
+        window = target_interval(DigitString.parse("99", 10), precision)
+        for instantiate in (instantiate_p, instantiate_pl):
+            params = instantiate(10, precision)
+            for delta in (Fraction(1, 100), window.delta):
+                bounds = compute_bounds(params, delta, precision)
+                answers.append((bounds.bound, *(getattr(bounds, name)._mpi_
+                                                for name in ("L1", "L2", "L3", "L4", "D"))))
+        for estimate, n in ((log_p_estimate, 1234), (log_pl_estimate, 5000)):
+            est = estimate(n, 10, precision)
+            answers.append((est.midpoint._mpi_, est.envelope._mpi_))
+    # closed forms evaluated at 192, 288 and 384 bits
+    answers += [theorem_bound(kind, 10, t) for kind, t in (("p", 2), ("p", 28), ("pl", 40))]
+    params = FrameworkParams(c1=Fraction(3, 2), c2=Fraction(-1, 3), c3=0, c4=Fraction(1, 7),
+                             theta=Fraction(2, 3), K=5)
+    answers.append(tuple(x._mpi_ for x in (params.c1, params.c2, params.c4, params.theta)))
+    answers.append(compute_bounds(params, Fraction(1, 10)).bound)
+    answers.append(as_interval(Fraction(1, 3))._mpi_)
+    for argv in (("bound", "--kind", "p", "--base", "10", "--t", "4"),
+                 ("bound", "--kind", "pl", "--base", "10", "--t", "2", "--precision", "64"),
+                 ("selftest",)):
+        answers.append(_run(capsys, *argv, "--output", "text"))
+    return answers
+
+
+def test_certified_answers_ignore_the_global_precision(capsys, monkeypatch):
+    # each certified layer rounds at the precision it is passed, so the
+    # answers under a global 20 bits are those under mpmath's default
+    for cache in _PRECISION_CACHES:
+        cache.cache_clear()
+    at_default = _certified_answers(capsys)
+    monkeypatch.setattr(iv, "prec", 20)
+    monkeypatch.setattr(mp, "prec", 20)
+    for cache in _PRECISION_CACHES:
+        cache.cache_clear()
+    at_20_bits = _certified_answers(capsys)
+    for cache in _PRECISION_CACHES:  # keep nothing computed under 20 bits
+        cache.cache_clear()
+    assert at_20_bits == at_default
 
 
 def _src_env():

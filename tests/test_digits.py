@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from mpmath import iv
+from mpmath import iv, mp
 from mpmath.libmp import mpf_add
 
 from partdigits import (
@@ -18,7 +18,7 @@ from partdigits import (
     log_value_interval,
     target_interval,
 )
-from partdigits.certified import as_interval, inf, sup, working_precision
+from partdigits.certified import as_interval, inf, interval_context, sup
 
 
 def test_digit_string_validation():
@@ -242,12 +242,13 @@ def _certified_answers():
     )
 
 
-def test_certified_logs_ignore_the_working_precision():
+def test_certified_logs_ignore_the_working_precision(monkeypatch):
     outside = _certified_answers()
     assert outside[-2:] == (True, True)
     for bits in (64, 512):
-        with working_precision(bits):
-            assert _certified_answers() == outside, bits
+        monkeypatch.setattr(iv, "prec", bits)
+        monkeypatch.setattr(mp, "prec", bits)
+        assert _certified_answers() == outside, bits
 
 
 def test_log_enclosures_refuse_a_precision_below_8_bits():
@@ -270,18 +271,18 @@ def test_as_interval_takes_a_pair():
 def _two_log_interval(value, base, precision):
     """Oracle: the enclosure as computed with two logarithms, log_b(head)
     and log_b(head + 1), over the same leading window."""
-    with working_precision(precision):
-        d = digit_count(value, base)
-        w = min(d, max(2, math.ceil(precision * 3 / 4 / math.log2(base))))
-        z = d - w
-        head, rem = divmod(value, base**z)
-        top = base**w
-        lb = iv.log(iv.mpf(base))
-        lo = iv.mpf(w - 1) if head * base == top else iv.log(iv.mpf(head)) / lb
-        if rem == 0:
-            return lo + z
-        hi = iv.mpf(w) if head + 1 == top else iv.log(iv.mpf(head + 1)) / lb
-        return iv.mpf([inf(lo), sup(hi)]) + z
+    ctx = interval_context(precision)
+    d = digit_count(value, base)
+    w = min(d, max(2, math.ceil(precision * 3 / 4 / math.log2(base))))
+    z = d - w
+    head, rem = divmod(value, base**z)
+    top = base**w
+    lb = ctx.log(base)
+    lo = ctx.mpf(w - 1) if head * base == top else ctx.log(head) / lb
+    if rem == 0:
+        return lo + z
+    hi = ctx.mpf(w) if head + 1 == top else ctx.log(head + 1) / lb
+    return ctx.mpf([inf(lo), sup(hi)]) + z
 
 
 def _log_cases(base, precision, rng):
@@ -311,8 +312,8 @@ def test_log_value_interval_against_two_log_oracle(base, precision):
     for value in _log_cases(base, precision, rng):
         x = log_value_interval(value, base, precision)
         oracle = _two_log_interval(value, base, precision)
-        with working_precision(2 * precision):
-            ref = iv.log(iv.mpf(value)) / iv.log(iv.mpf(base))
+        wide = interval_context(2 * precision)
+        ref = wide.log(value) / wide.log(base)
         if inf(x) == sup(x):  # exact: value is a power of the base
             assert inf(ref) <= inf(x) <= sup(ref), value
         else:

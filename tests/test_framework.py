@@ -15,12 +15,10 @@ from partdigits import (
     find_m_a_delta,
     instantiate_p,
     instantiate_pl,
-    main_term,
     theorem_bound,
-    working_precision,
 )
 from partdigits.asymptotics import log_p_estimate
-from partdigits.certified import inf, sup
+from partdigits.certified import inf, interval_context, sup
 
 
 def _overlaps(a, b) -> bool:
@@ -92,11 +90,11 @@ def test_scale_relations():
         base_delta = Fraction(1, 5)
         b1 = compute_bounds(params, base_delta)
         b2 = compute_bounds(params, base_delta / lam)
-        with working_precision(192):
-            lam_iv = iv.mpf(lam)
-            assert _overlaps(b2.L2, b1.L2 * lam_iv ** (1 / params.theta))
-            assert _overlaps(b2.L4, b1.L4 * lam_iv ** (1 / (1 - params.theta)))
-            assert _overlaps(b1.L3, b1.D ** (1 / params.theta))
+        ctx = interval_context(192)
+        lam_iv, theta_iv = ctx.mpf(lam), ctx.convert(params.theta)
+        assert _overlaps(b2.L2, lam_iv ** (1 / theta_iv) * b1.L2)
+        assert _overlaps(b2.L4, lam_iv ** (1 / (1 - theta_iv)) * b1.L4)
+        assert _overlaps(b1.L3, ctx.convert(b1.D) ** (1 / theta_iv))
         # L1, L3, D do not depend on delta
         assert _overlaps(b1.L1, b2.L1)
         assert _overlaps(b1.L3, b2.L3)
@@ -173,7 +171,7 @@ def test_instantiations():
         instantiate_pl(0)
 
 
-def test_main_term_matches_estimate_midpoint():
+def test_main_term_matches_estimate_midpoint(main_term):
     params = instantiate_p(10)
     for n in (4, 100, 5000):
         est = log_p_estimate(n, 10)
@@ -213,9 +211,9 @@ def test_find_m_guards():
 
 def test_find_m_full_window_accepts_boundary_sum():
     # a + delta enclosing exactly 1 must not trip the validation
-    with working_precision(192):
-        a = iv.log(iv.mpf(9)) / iv.log(iv.mpf(10))
-        delta = 1 - a
+    ctx = interval_context(192)
+    a = ctx.log(9) / ctx.log(10)
+    delta = 1 - a
     g = lambda m: iv.mpf(m) + iv.mpf("0.96")
     assert find_m_a_delta(g, 1, a, delta, 10) == 1
 
