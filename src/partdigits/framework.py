@@ -135,13 +135,13 @@ def find_m_a_delta(g, K: int, a, delta, scan_limit: int, precision: int = DEFAUL
     if sup(d) <= 0 or sup(lo) < 0 or inf(hi) > 1:
         raise ValueError("need 0 <= a and a + delta <= 1 with delta > 0")
     for m in range(K, scan_limit + 1):
-        x = ctx.convert(as_interval(g(m), precision))
+        x = as_interval(g(m), precision)
         fr = frac_interval(x)
         if fr is None:
             # x may straddle an integer: true fractional part lies in
             # [u, 1) or [0, v].  Still decidable when the window avoids
             # both pieces; otherwise give up.
-            piece = x - floor_inf(x)
+            piece = ctx.convert(x) - floor_inf(x)
             v = piece - 1
             if sup(hi) <= inf(piece) and inf(lo) > sup(v):
                 continue

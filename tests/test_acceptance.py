@@ -91,8 +91,8 @@ def test_acceptance_3_plane_log_envelope(pl_table):
 
 
 def _certified_distance(x, ref) -> float:
-    # ref, a value of the reference's context, on the left: the difference
-    # rounds at that context's precision
+    # ref, a value of the 256-bit context, goes on the left so that the
+    # difference rounds at 256 bits
     diff = ref - x
     return float(max(abs(inf(diff)), abs(sup(diff))))
 
