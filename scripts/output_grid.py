@@ -44,6 +44,10 @@ def _grid():
     # edge of its precision, so a rounding change shows here first
     for kind, t in (("p", "4"), ("pl", "3"), ("p", "28")):
         yield ("bound", "--kind", kind, "--base", "10", "--t", t)
+    # the largest t * bitlen(b) on the grid: the narrowest window is
+    # narrower than 192-bit enclosures of its endpoints
+    for kind, t in (("p", "37"), ("pl", "40")):
+        yield ("bound", "--kind", kind, "--base", "36", "--t", t)
     yield ("search", "--kind", "p", "--base", "10", "--digits", "9", "--limit", "10")
     yield ("search", "--kind", "p", "--base", "10", "--digits", "07")
     yield ("census", "--kind", "p", "--base", "10", "--t", "1", "--limit", "0")
