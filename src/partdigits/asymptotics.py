@@ -147,19 +147,23 @@ def theorem_bound(kind: SequenceKind, base: int, t: int) -> int:
         p:  ceil(290 * b^(2t) / ln(b)^2)
         PL: ceil(29396 * b^(3t/2) / ln(b)^(3/2))
 
-    Evaluated once per (kind, b, t), at max(DEFAULT_PRECISION, 2 t
-    bitlen(b) + 64) bits: the enclosure is then narrower than 2^-40.  Not
-    certified: at the narrowest window, f = b^t - 1, compute_bounds proves
-    larger horizons, 25,946 for p b10 t1 (closed form 5,470) and
-    127,881,305 for pl b10 t2 (8,413,268).
+    Evaluated once per (kind, b, t), at horizon_precision(b, t) bits, the
+    precision of every horizon here.  Not certified: at the narrowest
+    window, f = b^t - 1, compute_bounds proves larger horizons, 25,946 for
+    p b10 t1 (closed form 5,470) and 127,881,305 for pl b10 t2 (8,413,268).
     """
     return _theorem_bound(SequenceKind(kind), base, t)
+
+
+def horizon_precision(base: int, t: int) -> int:
+    """Bits at which the horizons of t-digit base-b targets are computed (README "CLI")."""
+    return max(DEFAULT_PRECISION, 5 * t * base.bit_length() + 64)
 
 
 @functools.cache
 def _theorem_bound(kind: SequenceKind, base: int, t: int) -> int:
     check_digit_domain(base, t)
-    prec = max(DEFAULT_PRECISION, 2 * t * base.bit_length() + 64)
+    prec = horizon_precision(base, t)
     ctx = interval_context(prec)
     ratio = ctx.mpf(base) ** t / ln_base(base, prec)
     return ceil_sup(BOUND_COEFF[kind] * ratio ** as_interval(1 / THETA[kind]))

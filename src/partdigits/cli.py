@@ -18,6 +18,7 @@ from mpmath import mp
 from mpmath.libmp import mpf_add, mpf_shift, round_nearest
 
 from .asymptotics import (
+    horizon_precision,
     instantiate_p,
     instantiate_pl,
     log_p_estimate,
@@ -95,11 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache", metavar="DIR", default=None,
         help=f"table cache directory (fallback: ${ENV_CACHE_DIR})",
     )
-    precision = argparse.ArgumentParser(add_help=False)
-    precision.add_argument(
-        "--precision", type=int, default=DEFAULT_PRECISION, metavar="BITS",
-        help=f"working precision in bits (default {DEFAULT_PRECISION})",
-    )
 
     sized = argparse.ArgumentParser(add_help=False)
     sized.add_argument("--kind", choices=("p", "pl"), required=True,
@@ -117,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="scan horizon (default: the uncertified closed form theorem_bound)")
     p_search.set_defaults(handler=_cmd_search)
 
-    p_bound = sub.add_parser("bound", parents=[output, precision, sized],
+    p_bound = sub.add_parser("bound", parents=[output, sized],
                              help="first-hit bound and threshold breakdown")
     p_bound.add_argument("--t", type=int, required=True, metavar="T",
                          help="digit-string length")
@@ -139,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="last table index to count")
     p_census.set_defaults(handler=_cmd_census)
 
-    p_self = sub.add_parser("selftest", parents=[output, precision],
+    p_self = sub.add_parser("selftest", parents=[output],
                             help="reduced-scale oracle and envelope checks")
     p_self.set_defaults(handler=_cmd_selftest)
 
@@ -168,9 +164,6 @@ def main() -> None:
 
 
 def _validate_common(args) -> None:
-    precision = getattr(args, "precision", None)
-    if precision is not None and precision < 64:
-        raise ValueError(f"precision must be at least 64 bits, got {precision}")
     base = getattr(args, "base", None)
     if base is not None and not 2 <= base <= MAX_TEXT_BASE:
         raise ValueError(f"base must be in 2..{MAX_TEXT_BASE}, got {base}")
@@ -320,8 +313,9 @@ def _bound_breakdown(params, delta, precision: int) -> dict:
 
 def _cmd_bound(args) -> int:
     kind = SequenceKind(args.kind)
-    b, t, prec = args.base, args.t, args.precision
+    b, t = args.base, args.t
     tb = theorem_bound(kind, b, t)  # also validates (b, t)
+    prec = horizon_precision(b, t)
     if args.digits is not None:
         f = DigitString.parse(args.digits, b)
         if f.t != t:
@@ -402,7 +396,7 @@ def _cmd_census(args) -> int:
 
 # -- selftest -------------------------------------------------------------
 
-def _selftest_checks(precision: int):
+def _selftest_checks():
     checks = []
 
     p_table = SequenceTable(SequenceKind.PARTITION)
@@ -428,31 +422,20 @@ def _selftest_checks(precision: int):
         all(sigma2(k) == sieve[k] for k in range(1, 301)),
     ))
 
-    ok = True
-    for b in (2, 10):
-        for n in range(4, 1501):
-            est = log_p_estimate(n, b, precision)
-            if not est.contains(log_value_interval(p_table[n], b, precision)):
-                ok = False
-                break
-    checks.append(("partition-log-envelope", ok))
+    checks.append(("partition-log-envelope", all(
+        log_p_estimate(n, b).contains(log_value_interval(p_table[n], b))
+        for b in (2, 10) for n in range(4, 1501)
+    )))
+    checks.append(("plane-log-envelope", all(
+        log_pl_estimate(n, 10).contains(log_value_interval(pl_table[n], 10))
+        for n in range(2829, 2961)
+    )))
 
-    ok = True
-    for n in range(2829, 2961):
-        est = log_pl_estimate(n, 10, precision)
-        if not est.contains(log_value_interval(pl_table[n], 10, precision)):
-            ok = False
-            break
-    checks.append(("plane-log-envelope", ok))
-
-    ctx = interval_context(precision)
-    ok = True
-    for k in range(-512, 513):
-        x = ctx.mpf(k) / 1024
-        if sup(abs(ctx.log(1 + x))) > inf(2 * abs(x)):
-            ok = False
-            break
-    checks.append(("log-doubling-inequality", ok))
+    ctx = interval_context(DEFAULT_PRECISION)
+    checks.append(("log-doubling-inequality", all(
+        sup(abs(ctx.log(1 + x))) <= inf(2 * abs(x))
+        for x in (ctx.mpf(k) / 1024 for k in range(-512, 513))
+    )))
 
     rng = random.Random(20260816)
     ok = True
@@ -466,20 +449,20 @@ def _selftest_checks(precision: int):
         for n in (lo, hi, rng.randint(lo, hi)):
             if leading_digits(n, b, t) != f:
                 ok = False
-            decision, _ = decide_membership(n, target_interval(f, precision), precision)
+            decision, _ = decide_membership(n, target_interval(f))
             if not decision:
                 ok = False
     checks.append(("digit-roundtrip", ok))
 
     phi = (ctx.sqrt(5) - 1) / 2
-    hit = find_m_a_delta(lambda m: m * phi, 1, 0, Fraction(1, 2), 50, precision=precision)
+    hit = find_m_a_delta(lambda m: m * phi, 1, 0, Fraction(1, 2), 50)
     checks.append(("golden-ratio-first-hit", hit == 2))
 
     return checks
 
 
 def _cmd_selftest(args) -> int:
-    checks = [(name, "pass" if ok else "fail") for name, ok in _selftest_checks(args.precision)]
+    checks = [(name, "pass" if ok else "fail") for name, ok in _selftest_checks()]
     all_pass = all(status == "pass" for _, status in checks)
     payload = {
         "checks": [{"name": name, "status": status} for name, status in checks],

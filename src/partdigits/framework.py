@@ -97,8 +97,10 @@ def compute_bounds(
     """Thresholds L1..L4, step scale D, and the integer first-hit bound."""
     ctx = interval_context(precision)
     d = ctx.convert(as_interval(delta, precision))
-    if not (inf(d) > 0 and sup(d) <= 1):
+    if sup(d) <= 0 or inf(d) > 1:
         raise ValueError("delta must be certainly inside (0, 1]")
+    if not (inf(d) > 0 and sup(d) <= 1):
+        raise ValueError(f"delta's enclosure is too wide at {precision} bits to lie in (0, 1]")
     c1, c2, c4, theta = map(ctx.convert, (params.c1, params.c2, params.c4, params.theta))
     inv_theta = 1 / theta
     l1 = _pos_pow(ctx, (-3 * c2) / (c1 * theta), inv_theta)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import re
 import struct
 import subprocess
@@ -136,7 +137,7 @@ def test_bound_with_digits(capsys):
     assert code == EXIT_USAGE and "length" in err
 
 
-def test_bound_actual_delta_at_the_given_precision(capsys):
+def test_bound_actual_delta_matches_mpmath(capsys):
     # log10(10/9) and the thresholds it drives, from mpmath at 400 bits: the
     # window of f = 9, L2 = (3 c4 / delta)^2 and L4 = (3 c1 theta / delta)^2
     # for p in base 10 (theta = 1/2)
@@ -149,12 +150,40 @@ def test_bound_actual_delta_at_the_given_precision(capsys):
             "L4": (mpmath.mpf(3) / 2 * (mpmath.pi * mpmath.sqrt(24) / 6 / ln10) / delta) ** 2,
         }
         expected = {key: mpmath.nstr(value, 25) for key, value in expected.items()}
-    code, out, _ = _run(
-        capsys, "bound", "--kind", "p", "--base", "10", "--t", "1", "--precision", "384",
-    )
+    code, out, _ = _run(capsys, "bound", "--kind", "p", "--base", "10", "--t", "1")
     assert code == EXIT_OK
     actual = json.loads(out)["conventions"]["actual_delta"]
     assert {key: actual[key] for key in expected} == expected
+
+
+def test_bound_ceilings_equal_those_at_far_higher_precision(capsys):
+    # bound computes at horizon_precision(b, t); at a fixed 192 bits these
+    # ceilings came out too high or exited 2.  pl's constants take about
+    # 27 s at 8,192 bits (Glaisher's constant), so pl is compared at 2,048
+    # bits, where these ceilings equal the 8,192-bit ones.
+    rng = random.Random(20261019)
+    for kind, base, t in (("p", 10, 28), ("p", 36, 37), ("p", 3, 23),
+                          ("pl", 10, 35), ("pl", 16, 30)):
+        bits = 8192 if kind == "p" else 2048
+        params = (instantiate_p if kind == "p" else instantiate_pl)(base, bits)
+        nominal = compute_bounds(params, Fraction(1, base**t), bits).bound
+        argv = ("bound", "--kind", kind, "--base", str(base), "--t", str(t))
+        random_f = DigitString.from_value(rng.randint(base ** (t - 1), base**t - 1), base, t)
+        for digits in (None, random_f.text()):  # the narrowest window, then a random one
+            code, out, err = _run(capsys, *argv, *(("--digits", digits) if digits else ()))
+            assert code == EXIT_OK, (argv, err)
+            conventions = json.loads(out)["conventions"]
+            f = DigitString.parse(conventions["actual_delta"]["f"], base)
+            actual = compute_bounds(params, target_interval(f, bits).delta, bits).bound
+            assert conventions["nominal_delta"]["bound"] == nominal, argv
+            assert conventions["actual_delta"]["bound"] == actual, (argv, digits)
+    # p b10 t28 at f = 10^28 - 1: the bound is ceil(2 (L2 + 1)), and
+    # L2 = (3 c4 / delta)^2 = 144 / ln(1 + 1/f)^2 with c4 = 4 / ln 10
+    code, out, _ = _run(capsys, "bound", "--kind", "p", "--base", "10", "--t", "28")
+    with mpmath.workprec(600):
+        l2 = 144 / mpmath.log1p(mpmath.mpf(1) / (10**28 - 1)) ** 2
+        expected = int(mpmath.ceil(2 * (l2 + 1)))
+    assert json.loads(out)["conventions"]["actual_delta"]["bound"] == expected
 
 
 def test_bound_csv_and_text(capsys):
@@ -274,11 +303,13 @@ def test_usage_errors(capsys):
 
 
 def test_each_command_takes_only_the_options_it_reads(capsys, tmp_path):
-    # the exact scans take no precision
+    # no command takes a precision: bound works out its own from (b, t)
     for argv in (
         ("search", "--kind", "p", "--base", "10", "--digits", "7"),
         ("verify", "--kind", "p", "--base", "10", "--t", "1"),
         ("census", "--kind", "p", "--base", "10", "--t", "1", "--limit", "10"),
+        ("bound", "--kind", "p", "--base", "10", "--t", "1"),
+        ("selftest",),
     ):
         code, out, err = _run(capsys, *argv, "--precision", "96")
         assert code == EXIT_USAGE and not out, argv
@@ -291,10 +322,6 @@ def test_each_command_takes_only_the_options_it_reads(capsys, tmp_path):
             assert code == EXIT_USAGE and not out, (argv, flag)
             assert f"unrecognized arguments: {flag[0]}" in err, (argv, flag)
     assert not cache.exists()
-    code, out, _ = _run(
-        capsys, "bound", "--kind", "p", "--base", "10", "--t", "1", "--precision", "96"
-    )
-    assert code == EXIT_OK and json.loads(out)["theorem_bound"] == 5470
 
 
 def test_argparse_errors_map_to_usage(capsys):
@@ -596,13 +623,13 @@ EXACT_STDOUT = {
 
 @pytest.fixture(scope="module")
 def selftest_checks():
-    return cli._selftest_checks(cli.DEFAULT_PRECISION)
+    return cli._selftest_checks()
 
 
 @pytest.mark.parametrize("command, output", list(EXACT_STDOUT))
 def test_exact_stdout(capsys, monkeypatch, selftest_checks, command, output):
     # selftest's checks run once per module; only their rendering runs per format
-    monkeypatch.setattr(cli, "_selftest_checks", lambda precision: selftest_checks)
+    monkeypatch.setattr(cli, "_selftest_checks", lambda: selftest_checks)
     code, out, err = _run(capsys, *command.split(), "--output", output)
     assert (code, err) == (EXIT_OK, "")
     assert re.sub(r"runtime \d+\.\d+s", "runtime <masked>s", out) == \
@@ -641,7 +668,7 @@ def _certified_answers(capsys):
         for estimate, n in ((log_p_estimate, 1234), (log_pl_estimate, 5000)):
             est = estimate(n, 10, precision)
             answers.append((est.midpoint._mpi_, est.envelope._mpi_))
-    # closed forms evaluated at 192, 288 and 384 bits
+    # closed forms evaluated at 192, 624 and 864 bits
     answers += [theorem_bound(kind, 10, t) for kind, t in (("p", 2), ("p", 28), ("pl", 40))]
     params = FrameworkParams(c1=Fraction(3, 2), c2=Fraction(-1, 3), c3=0, c4=Fraction(1, 7),
                              theta=Fraction(2, 3), K=5)
@@ -649,7 +676,7 @@ def _certified_answers(capsys):
     answers.append(compute_bounds(params, Fraction(1, 10)).bound)
     answers.append(as_interval(Fraction(1, 3))._mpi_)
     for argv in (("bound", "--kind", "p", "--base", "10", "--t", "4"),
-                 ("bound", "--kind", "pl", "--base", "10", "--t", "2", "--precision", "64"),
+                 ("bound", "--kind", "pl", "--base", "10", "--t", "2"),
                  ("selftest",)):
         answers.append(_run(capsys, *argv, "--output", "text"))
     return answers

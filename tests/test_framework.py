@@ -8,6 +8,7 @@ import pytest
 from mpmath import iv, mpf
 
 from partdigits import (
+    DigitString,
     FrameworkParams,
     SequenceKind,
     UndecidableMembershipError,
@@ -15,6 +16,7 @@ from partdigits import (
     find_m_a_delta,
     instantiate_p,
     instantiate_pl,
+    target_interval,
     theorem_bound,
 )
 from partdigits.asymptotics import log_p_estimate
@@ -79,8 +81,17 @@ def test_compute_bounds_delta_validation():
     params = instantiate_p(10)
     compute_bounds(params, 1)  # delta = 1 is the largest legal window
     for bad in (0, -0.1, 1.5):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"delta must be certainly inside \(0, 1\]"):
             compute_bounds(params, bad)
+
+
+def test_compute_bounds_names_a_delta_enclosure_too_wide_to_place():
+    # at 64 bits the narrowest p b10 t28 window, 4.3e-29 wide, is narrower
+    # than the enclosures of its endpoints, so its delta enclosure reaches
+    # below 0 though delta is inside (0, 1]
+    window = target_interval(DigitString.from_value(10**28 - 1, 10, 28), 64)
+    with pytest.raises(ValueError, match="delta's enclosure is too wide at 64 bits"):
+        compute_bounds(instantiate_p(10, 64), window.delta, 64)
 
 
 def test_scale_relations():
