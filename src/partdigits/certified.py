@@ -17,7 +17,7 @@ from mpmath import iv, mp
 from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import from_int, mpf_log, mpf_sub, round_ceiling, round_floor, to_int
 
-DEFAULT_PRECISION = 192  # bits; every public op accepts an override
+DEFAULT_PRECISION = 192  # bits: the default of the ops that take a precision
 
 IntervalLike = object  # mpi, int, float, str, Fraction, or (lo, hi) pair
 

@@ -8,7 +8,6 @@ import json
 import os
 import random
 import sys
-import tempfile
 from fractions import Fraction
 from functools import cache
 from itertools import chain
@@ -29,7 +28,6 @@ from .certified import DEFAULT_PRECISION, as_interval, inf, interval_context, su
 from .digits import DigitString, leading_digits, log_value_interval, target_interval
 from .engines import (
     DEFAULT_MEMORY_BUDGET,
-    CacheFormatError,
     ResourceLimitError,
     SequenceKind,
     SequenceTable,
@@ -151,7 +149,7 @@ def run(argv=None) -> int:
     try:
         _validate_common(args)
         return args.handler(args)
-    except (ValueError, CacheFormatError) as exc:
+    except (ValueError, OSError) as exc:  # CacheFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimitError as exc:
@@ -187,13 +185,16 @@ def _cache_file(args, kind: SequenceKind) -> Path | None:
 def _cached_table(args, kind: SequenceKind):
     """The table to scan, loaded from the cache if there is one, and saved
     back once the scan is done or refused by the memory budget: a refused
-    table holds exactly the entries before the n it stopped at."""
+    table holds exactly the entries before the n it stopped at.  A cache
+    that the budget cannot hold is skipped and left as it is."""
     path = _cache_file(args, kind)
+    table, loaded = SequenceTable(kind, memory_budget=args.memory_budget), -1
     if path is not None and path.exists():
-        table = SequenceTable.load(path, memory_budget=args.memory_budget, expect_kind=kind)
-        loaded = table.last_index
-    else:
-        table, loaded = SequenceTable(kind, memory_budget=args.memory_budget), -1
+        try:
+            table = SequenceTable.load(path, memory_budget=args.memory_budget, expect_kind=kind)
+            loaded = table.last_index
+        except ResourceLimitError:
+            path = None
     try:
         yield table
     except ResourceLimitError:
@@ -203,18 +204,8 @@ def _cached_table(args, kind: SequenceKind):
 
 
 def _save_table(table: SequenceTable, path: Path | None, loaded_last: int) -> None:
-    if path is None or table.last_index <= loaded_last:
-        return
-    # A temp file of its own per writer, so runs saving at once never mix
-    # their bytes; the rename makes the last complete write win.
-    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
-    os.close(fd)
-    try:
-        table.save(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    if path is not None and table.last_index > loaded_last:
+        table.save(path)
 
 
 # -- rendering ------------------------------------------------------------
@@ -321,7 +312,7 @@ def _cmd_bound(args) -> int:
         if f.t != t:
             raise ValueError(f"--digits {args.digits!r} has length {f.t}, but --t is {t}")
     else:
-        f = DigitString.from_value(b**t - 1, b, t)  # narrowest window
+        f = DigitString(b, t, b**t - 1)  # narrowest window
     params = instantiate_p(b, prec) if kind is SequenceKind.PARTITION else instantiate_pl(b, prec)
     conventions = {
         "nominal_delta": _bound_breakdown(params, Fraction(1, b**t), prec),
@@ -443,7 +434,7 @@ def _selftest_checks():
         b = rng.randint(2, 16)
         t = rng.randint(2 if b == 2 else 1, 3)
         fv = rng.randint(b ** (t - 1), b**t - 1)
-        f = DigitString.from_value(fv, b, t)
+        f = DigitString(b, t, fv)
         z = rng.randint(0, 8)
         lo, hi = fv * b**z, (fv + 1) * b**z - 1
         for n in (lo, hi, rng.randint(lo, hi)):

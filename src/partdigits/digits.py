@@ -26,58 +26,52 @@ _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 @dataclass(frozen=True)
 class DigitString:
-    """A t-digit base-b string with a nonzero leading digit.
+    """A t-digit base-b string with a nonzero leading digit, held as its value.
 
     Valid digit strings have a (base, t) in the domain of
     check_digit_domain (base 2 needs two digits: the one-digit binary string
-    "1" matches every positive integer), every digit in [0, base) and a
-    first digit != 0.
+    "1" matches every positive integer) and a value in
+    [base^(t-1), base^t), which makes every digit fit the base and the
+    first one nonzero.
     """
 
     base: int
-    digits: tuple[int, ...]
+    t: int
+    value: int
 
     def __post_init__(self):
-        check_digit_domain(self.base, len(self.digits))
-        if any(not (0 <= d < self.base) for d in self.digits):
-            raise ValueError(f"digits {self.digits} out of range for base {self.base}")
-        if self.digits[0] == 0:
-            raise ValueError("leading digit must be nonzero")
+        check_digit_domain(self.base, self.t)
+        if not self.base ** (self.t - 1) <= self.value < self.base**self.t:
+            raise ValueError(f"{self.value} is not a {self.t}-digit base-{self.base} integer")
 
     @property
-    def t(self) -> int:
-        return len(self.digits)
-
-    @property
-    def value(self) -> int:
-        v = 0
-        for d in self.digits:
-            v = v * self.base + d
-        return v
-
-    @classmethod
-    def from_value(cls, value: int, base: int, t: int) -> "DigitString":
-        """Digit string of a t-digit integer value (base^(t-1) <= value < base^t)."""
-        if not base ** (t - 1) <= value < base**t:
-            raise ValueError(f"{value} is not a {t}-digit base-{base} integer")
+    def digits(self) -> tuple[int, ...]:
+        """The t digits, most significant first."""
         digs = []
-        for _ in range(t):
-            value, r = divmod(value, base)
+        value = self.value
+        for _ in range(self.t):
+            value, r = divmod(value, self.base)
             digs.append(r)
-        return cls(base, tuple(reversed(digs)))
+        return tuple(reversed(digs))
 
     @classmethod
     def parse(cls, text: str, base: int) -> "DigitString":
         """Parse a textual digit string; letters a-z cover digits 10-35."""
         if base > len(_DIGIT_CHARS):
             raise ValueError(f"textual digit strings support bases 2-36, got {base}")
-        digs = []
-        for ch in text.lower():
+        lowered = text.lower()
+        value = 0
+        for ch in lowered:
             d = _DIGIT_CHARS.find(ch)
             if d < 0 or d >= base:
                 raise ValueError(f"invalid base-{base} digit {ch!r} in {text!r}")
-            digs.append(d)
-        return cls(base, tuple(digs))
+            value = value * base + d
+        # The domain, then the leading digit, each with its own message: the
+        # constructor's range check refuses a leading zero as a value.
+        check_digit_domain(base, len(lowered))
+        if lowered[0] == "0":
+            raise ValueError("leading digit must be nonzero")
+        return cls(base, len(lowered), value)
 
     def text(self) -> str:
         if self.base <= len(_DIGIT_CHARS):
@@ -98,7 +92,7 @@ def check_digit_domain(base: int, t: int) -> None:
 def all_digit_strings(base: int, t: int):
     """All valid t-digit base-b strings, in increasing numeric order."""
     check_digit_domain(base, t)
-    return [DigitString.from_value(v, base, t) for v in range(base ** (t - 1), base**t)]
+    return [DigitString(base, t, v) for v in range(base ** (t - 1), base**t)]
 
 
 def digit_count(n: int, base: int) -> int:
@@ -135,7 +129,7 @@ def leading_digits(n: int, base: int, t: int) -> DigitString:
         w = n >> (d - t)
     else:
         w = n // base ** (d - t)
-    return DigitString.from_value(w, base, t)
+    return DigitString(base, t, w)
 
 
 def _log_int(value: int, base: int, precision: int, less: int | None):

@@ -48,6 +48,7 @@ calls, same 2-core x86 VM, alternating with the old code).
 """
 from __future__ import annotations
 
+import os
 import struct
 import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
@@ -419,35 +420,47 @@ class SequenceTable:
         the entries' and then the pending sums') and the SHA-256 digest of
         everything before it.  A loaded table parses its remaining entries
         first; the file is then encoded and hashed _PARSE_CHUNK records at
-        a time.
+        a time, into a temp file of this save's own in path's directory
+        (mode 0600), which is renamed over path once complete.  Saves at
+        once never mix their bytes, the last complete rename wins, and a
+        save that fails removes its temp file and leaves path as it was.
         """
         import hashlib
+        import tempfile
 
         self._parse_all()
         records = self._values + self._pending
         kind_code = 1 if self.kind is SequenceKind.PARTITION else 2
         chunks = range(0, len(records), _PARSE_CHUNK)
         digest = hashlib.sha256()
-        with open(path, "wb") as fh:
+        path = Path(path)
+        fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+        try:
+            with open(fd, "wb") as fh:
 
-            def write(blob: bytes) -> None:
-                digest.update(blob)
-                fh.write(blob)
+                def write(blob: bytes) -> None:
+                    digest.update(blob)
+                    fh.write(blob)
 
-            last = self.last_index
-            write(_CACHE_HEADER.pack(
-                _CACHE_MAGIC, _CACHE_VERSION, kind_code, 0, len(self._values), self._entry_bytes,
-                last - last % _LEAF if self._pending else 0, len(self._pending),
-                self._pending_bytes,
-            ))
-            for lo in chunks:
-                chunk = records[lo : lo + _PARSE_CHUNK]
-                write(struct.pack(f"<{len(chunk)}I", *map(_payload_size, chunk)))
-            for lo in chunks:
-                write(b"".join(
-                    [v.to_bytes(_payload_size(v), "little") for v in records[lo : lo + _PARSE_CHUNK]]
+                last = self.last_index
+                write(_CACHE_HEADER.pack(
+                    _CACHE_MAGIC, _CACHE_VERSION, kind_code, 0, len(self._values),
+                    self._entry_bytes, last - last % _LEAF if self._pending else 0,
+                    len(self._pending), self._pending_bytes,
                 ))
-            fh.write(digest.digest())
+                for lo in chunks:
+                    chunk = records[lo : lo + _PARSE_CHUNK]
+                    write(struct.pack(f"<{len(chunk)}I", *map(_payload_size, chunk)))
+                for lo in chunks:
+                    write(b"".join([
+                        v.to_bytes(_payload_size(v), "little")
+                        for v in records[lo : lo + _PARSE_CHUNK]
+                    ]))
+                fh.write(digest.digest())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     @classmethod
     def load(

@@ -237,7 +237,5 @@ def digit_census(
     check_digit_domain(base, t)
     table = _table_for(kind, table)
     counts = Counter(head for _, head in scan_heads(table, base, t, 1, N))
-    return {
-        DigitString.from_value(head, base, t): counts[head] for head in sorted(counts)
-    }
+    return {DigitString(base, t, head): counts[head] for head in sorted(counts)}
 

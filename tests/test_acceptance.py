@@ -236,7 +236,7 @@ def test_acceptance_7_window_round_trip():
         b = rng.randint(2, 16)
         t = rng.randint(2 if b == 2 else 1, 3)
         fv = rng.randint(b ** (t - 1), b**t - 1)
-        f = DigitString.from_value(fv, b, t)
+        f = DigitString(b, t, fv)
         ti = target_interval(f)
         z = rng.randint(0, 12)
         low, high = fv * b**z, (fv + 1) * b**z - 1

@@ -40,7 +40,6 @@ from partdigits.cli import (
     EXIT_USAGE,
     ENV_CACHE_DIR,
     _parse_bytes,
-    _save_table,
     run,
 )
 
@@ -168,7 +167,7 @@ def test_bound_ceilings_equal_those_at_far_higher_precision(capsys):
         params = (instantiate_p if kind == "p" else instantiate_pl)(base, bits)
         nominal = compute_bounds(params, Fraction(1, base**t), bits).bound
         argv = ("bound", "--kind", kind, "--base", str(base), "--t", str(t))
-        random_f = DigitString.from_value(rng.randint(base ** (t - 1), base**t - 1), base, t)
+        random_f = DigitString(base, t, rng.randint(base ** (t - 1), base**t - 1))
         for digits in (None, random_f.text()):  # the narrowest window, then a random one
             code, out, err = _run(capsys, *argv, *(("--digits", digits) if digits else ()))
             assert code == EXIT_OK, (argv, err)
@@ -475,28 +474,37 @@ def test_verify_stdout_does_not_depend_on_the_cache(tmp_path, capsys):
         assert cached == _run(capsys, *argv)[1], output
 
 
-def test_concurrent_saves_use_their_own_temp_files(tmp_path, monkeypatch):
-    # A second run saves the cache while the first is between writing its
-    # temp file and renaming it into place.
-    path = tmp_path / "p.table"
-    first = SequenceTable(SequenceKind.PARTITION).extend(300)
-    second = SequenceTable(SequenceKind.PARTITION).extend(200)
-    original_save = SequenceTable.save
-    temps = []
+def test_a_cache_the_budget_cannot_hold_is_skipped(tmp_path, capsys):
+    # the scan stops at n = 60, well inside a 1M budget; the cache's 24,001
+    # entries are not, so the run builds its own table and saves nothing
+    cache = tmp_path / "tables"
+    cache.mkdir()
+    stored = cache / "p.table"
+    SequenceTable(SequenceKind.PARTITION).extend(24000).save(stored)
+    before = stored.read_bytes()
+    argv = ("verify", "--kind", "p", "--base", "10", "--t", "1", "--memory-budget", "1M")
+    code, cached, err = _run(capsys, *argv, "--cache", str(cache))
+    assert code == EXIT_OK, err
+    assert cached == _run(capsys, *argv)[1]
+    assert stored.read_bytes() == before and os.listdir(cache) == ["p.table"]
 
-    def save(self, target):
-        temps.append(Path(target))
-        original_save(self, target)
-        if self is first:
-            _save_table(second, path, -1)
 
-    monkeypatch.setattr(SequenceTable, "save", save)
-    _save_table(first, path, -1)
-    assert len(set(temps)) == 2
-    assert all(t.parent == tmp_path for t in temps)
-    assert os.listdir(tmp_path) == ["p.table"]
-    monkeypatch.undo()
-    assert SequenceTable.load(path).last_index == 300
+@pytest.mark.parametrize("case", ["under-a-file", "table-is-a-directory"])
+def test_an_unusable_cache_path_is_a_usage_error(tmp_path, case):
+    if case == "under-a-file":
+        (tmp_path / "FILE").write_bytes(b"")
+        cache, reason = tmp_path / "FILE" / "sub", "Not a directory"
+    else:
+        (tmp_path / "tables" / "p.table").mkdir(parents=True)
+        cache, reason = tmp_path / "tables", "Is a directory"
+    done = subprocess.run(
+        [sys.executable, "-m", "partdigits.cli", "search", "--kind", "p", "--base", "10",
+         "--digits", "7", "--cache", str(cache)],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (EXIT_USAGE, ""), done.stderr
+    assert done.stderr.startswith("error: ") and reason in done.stderr
+    assert "Traceback" not in done.stderr and done.stderr.count("\n") == 1
 
 
 def test_a_run_refused_by_its_budget_saves_what_it_built(tmp_path, capsys, monkeypatch):

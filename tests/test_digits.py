@@ -23,16 +23,31 @@ from partdigits.certified import as_interval, inf, interval_context, sup
 
 def test_digit_string_validation():
     with pytest.raises(ValueError):
-        DigitString(1, (1,))
+        DigitString(1, 1, 1)
     with pytest.raises(ValueError):
-        DigitString(10, ())
+        DigitString(10, 0, 0)
+    with pytest.raises(ValueError, match="31 is not a 1-digit base-10 integer"):
+        DigitString(10, 1, 31)  # a digit beyond the base
+    with pytest.raises(ValueError, match="5 is not a 2-digit base-10 integer"):
+        DigitString(10, 2, 5)  # a leading zero
     with pytest.raises(ValueError):
-        DigitString(10, (3, 10))
+        DigitString(2, 1, 1)  # one-digit binary string matches everything
+    assert DigitString(2, 2, 2).text() == "10"  # minimal valid binary string
+
+
+def test_value_range():
+    assert DigitString(10, 2, 10).text() == "10"
     with pytest.raises(ValueError):
-        DigitString(10, (0, 5))
+        DigitString(10, 2, 9)
     with pytest.raises(ValueError):
-        DigitString(2, (1,))  # one-digit binary string matches everything
-    DigitString(2, (1, 0))  # minimal valid binary string
+        DigitString(10, 2, 100)
+
+
+def test_digit_string_is_its_value():
+    f = DigitString(16, 3, 0x1F0)
+    assert (f.base, f.t, f.value) == (16, 3, 0x1F0) and f.digits == (1, 15, 0)
+    assert f == DigitString.parse("1f0", 16) and hash(f) == hash(DigitString.parse("1F0", 16))
+    assert DigitString(40, 2, 40 * 39 + 7).text() == "39.7"  # past 36, digits are numbers
 
 
 def test_parse_and_text():
@@ -41,20 +56,19 @@ def test_parse_and_text():
     assert f.text() == "31" and str(f) == "31"
     hexs = DigitString.parse("1F", 16)
     assert hexs.value == 31 and hexs.text() == "1f"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="invalid base-2 digit '2' in '12'"):
         DigitString.parse("12", 2)
-    with pytest.raises(ValueError):
-        DigitString.parse("0x1", 16)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="invalid base-16 digit 'x' in '0X1'"):
+        DigitString.parse("0X1", 16)
+    with pytest.raises(ValueError, match="support bases 2-36, got 37"):
         DigitString.parse("7", 37)
-
-
-def test_from_value_range():
-    assert DigitString.from_value(10, 10, 2).text() == "10"
-    with pytest.raises(ValueError):
-        DigitString.from_value(9, 10, 2)
-    with pytest.raises(ValueError):
-        DigitString.from_value(100, 10, 2)
+    # the checks after the characters, in order: the (base, t) domain, then the leading digit
+    with pytest.raises(ValueError, match="no valid digit strings for base 10, t 0"):
+        DigitString.parse("", 10)
+    with pytest.raises(ValueError, match="no valid digit strings for base 2, t 1"):
+        DigitString.parse("0", 2)
+    with pytest.raises(ValueError, match="leading digit must be nonzero"):
+        DigitString.parse("07", 10)
 
 
 def test_all_digit_strings():
@@ -201,7 +215,7 @@ def test_membership_round_trip_small_grid():
         b = rng.randint(2, 16)
         t = rng.randint(2 if b == 2 else 1, 3)
         fv = rng.randint(b ** (t - 1), b**t - 1)
-        f = DigitString.from_value(fv, b, t)
+        f = DigitString(b, t, fv)
         ti = target_interval(f)
         z = rng.randint(0, 10)
         lo, hi = fv * b**z, (fv + 1) * b**z - 1

@@ -1,10 +1,14 @@
 """Exact-engine tests: recurrences vs enumeration oracles, growth, cache."""
 from __future__ import annotations
 
+import errno
 import hashlib
+import os
 import random
+import stat
 import struct
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,7 @@ from partdigits import (
     brute_force_pl,
     sigma2,
 )
+import partdigits.engines as engines
 from partdigits.engines import _CACHE_VERSION, _EXACT, _LEAF, _TILE, _convolve, _pack, _unpack
 
 ORACLE_P_MAX = 2000
@@ -268,6 +273,56 @@ def test_cache_round_trip(tmp_path):
     loaded.extend(210)
     fresh = SequenceTable(SequenceKind.PLANE_PARTITION).extend(210)
     assert loaded[210] == fresh[210]
+
+
+def test_concurrent_saves_use_their_own_temp_files(tmp_path, monkeypatch):
+    # A second save to the same path runs while the first is between
+    # writing its temp file and renaming it into place.
+    path = tmp_path / "p.table"
+    first = SequenceTable(SequenceKind.PARTITION).extend(300)
+    second = SequenceTable(SequenceKind.PARTITION).extend(200)
+    replace = os.replace
+    temps = []
+
+    def racing_replace(src, dst):
+        temps.append(Path(src))
+        if len(temps) == 1:
+            second.save(path)
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", racing_replace)
+    first.save(path)
+    monkeypatch.undo()
+    assert len(set(temps)) == 2
+    assert all(t.parent == tmp_path for t in temps)
+    assert os.listdir(tmp_path) == ["p.table"]
+    assert SequenceTable.load(path).last_index == 300  # the last rename was the first save's
+
+
+def test_a_failed_save_leaves_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "p.table"
+    SequenceTable(SequenceKind.PARTITION).extend(200).save(path)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    before = path.read_bytes()
+    table = SequenceTable(SequenceKind.PARTITION).extend(3000)
+    payload_size = engines._payload_size
+    calls = 0
+
+    def failing_payload_size(v):
+        # the lengths take 3,001 calls, then the records: fail in their middle
+        nonlocal calls
+        calls += 1
+        if calls == 4500:
+            (temp,) = tmp_path.glob("p.table.*.tmp")
+            assert temp.stat().st_size > 0  # partly written
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return payload_size(v)
+
+    monkeypatch.setattr(engines, "_payload_size", failing_payload_size)
+    with pytest.raises(OSError, match="No space left"):
+        table.save(path)
+    assert os.listdir(tmp_path) == ["p.table"]
+    assert path.read_bytes() == before
 
 
 def test_cache_expect_kind_guard(tmp_path):

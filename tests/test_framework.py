@@ -89,7 +89,7 @@ def test_compute_bounds_names_a_delta_enclosure_too_wide_to_place():
     # at 64 bits the narrowest p b10 t28 window, 4.3e-29 wide, is narrower
     # than the enclosures of its endpoints, so its delta enclosure reaches
     # below 0 though delta is inside (0, 1]
-    window = target_interval(DigitString.from_value(10**28 - 1, 10, 28), 64)
+    window = target_interval(DigitString(10, 28, 10**28 - 1), 64)
     with pytest.raises(ValueError, match="delta's enclosure is too wide at 64 bits"):
         compute_bounds(instantiate_p(10, 64), window.delta, 64)
 

@@ -111,7 +111,7 @@ def test_decide_membership_audit(p_table):
         t = rng.randint(2 if b == 2 else 1, 3)
         threshold = b ** (t - 1)
         truth = leading_digits(value, b, t)
-        for f in {truth, DigitString.from_value(rng.randint(threshold, b**t - 1), b, t)}:
+        for f in {truth, DigitString(b, t, rng.randint(threshold, b**t - 1))}:
             decision, _ = decide_membership(value, target_interval(f))
             assert decision == (truth == f)
             checked += 1
@@ -120,7 +120,7 @@ def test_decide_membership_audit(p_table):
     # window's lower endpoint, yet with fewer than t digits it is no hit
     for b in (2, 10, 16):
         for t in range(2 if b == 2 else 1, 4):
-            f = DigitString.from_value(b ** (t - 1), b, t)
+            f = DigitString(b, t, b ** (t - 1))
             for value in (1, b, b**2, 3, b + 1, 5 * b - 1):
                 truth = value >= b ** (t - 1) and leading_digits(value, b, t) == f
                 decision, _ = decide_membership(value, target_interval(f))
