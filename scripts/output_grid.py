@@ -55,6 +55,11 @@ def _grid():
     yield ("census", "--kind", "p", "--base", "10", "--t", "1", "--limit", "3000",
            "--cache", CACHE)
     yield ("verify", "--kind", "p", "--base", "10", "--t", "2", "--cache", CACHE)
+    # censuses over the loaded cache in bases where p(n) gains a digit every
+    # 1-30 entries (base 2) or 7-118 entries (base 16) up to n = 3000
+    for base, t in ((2, 3), (16, 2)):
+        yield ("census", "--kind", "p", "--base", str(base), "--t", str(t),
+               "--limit", "3000", "--cache", CACHE)
     for _ in range(2):  # builds the pl cache, then reads it
         yield ("census", "--kind", "pl", "--base", "10", "--t", "1", "--limit", "300",
                "--cache", CACHE)
