@@ -41,7 +41,9 @@ load.  A loaded table is in the state the saved one was in.  Loading
 checks the digest, the last entry's recurrence and, for PL, the pending
 sum for the last entry, charges the budget for every record at once,
 parses the pending sums and keeps the file's bytes: entries are parsed
-1024 at a time when first read.  A 24,001-entry p cache
+1024 at a time when first read, by indexing or by `values(lo, hi)`,
+which returns entries lo..hi-1 as a list and parses only the chunks
+that window covers.  A 24,001-entry p cache
 (1.2 MB, format version 2) loaded in 3.9 ms against 28 ms for the eager
 version 1 reader; parsing all of it afterwards took 14 ms (best of 15
 calls, same 2-core x86 VM, alternating with the old code).
@@ -261,6 +263,16 @@ class SequenceTable:
             self._parse_chunk(n)
             value = self._values[n]
         return value
+
+    def values(self, lo: int, hi: int) -> list[int]:
+        """Entries lo..hi-1 as a new list, parsing only the chunks of a loaded cache they fall in."""
+        if not 0 <= lo <= hi <= len(self._values):
+            raise IndexError(f"table holds n = 0..{self.last_index}, got {lo}..{hi - 1}")
+        if self._unparsed_chunks:
+            for n in range(lo - lo % _PARSE_CHUNK, hi, _PARSE_CHUNK):
+                if self._values[n] is None:
+                    self._parse_chunk(n)
+        return self._values[lo:hi]
 
     @property
     def last_index(self) -> int:

@@ -527,7 +527,15 @@ def test_loaded_table_parses_entries_on_first_use(tmp_path):
     assert all(v is None for v in loaded._values)  # nothing parsed yet
     assert loaded[2500] == table[2500]
     assert loaded._values.count(None) == 2048  # only the chunk 2048..3000 parsed
-    assert [loaded[n] for n in range(3001)] == [table[n] for n in range(3001)]
+    # a window parses the chunks it covers and no other
+    assert loaded.values(1030, 1040) == [table[n] for n in range(1030, 1040)]
+    assert loaded._values.count(None) == 1024
+    assert loaded.values(3001, 3001) == []
+    for lo, hi in ((-1, 5), (0, 3002), (10, 9)):
+        with pytest.raises(IndexError):
+            loaded.values(lo, hi)
+    assert loaded.values(0, 3001) == [table[n] for n in range(3001)]
+    assert loaded._unparsed_chunks == 0
 
 
 def test_load_then_save_is_byte_identical(tmp_path):

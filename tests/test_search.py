@@ -19,7 +19,8 @@ from partdigits import (
     verify_theorem,
 )
 from partdigits.cli import RESULT_FIELDS, _emit, _report_dict, _result_dict, _result_row
-from partdigits.search import METHOD_EXACT, scan_heads
+from partdigits.digits import digit_count
+from partdigits.search import METHOD_EXACT, scan_runs
 
 P_FIRST_HITS = {1: 0, 2: 2, 3: 3, 4: 10, 5: 4, 6: 20, 7: 5, 8: 32, 9: 60}
 PL_FIRST_HITS = {1: 0, 2: 5, 3: 2, 4: 6, 5: 10, 6: 3, 7: 20, 8: 7, 9: 37}
@@ -136,6 +137,15 @@ def _exact_heads(table, base, t, start, stop):
     ]
 
 
+def _scanned_heads(table, base, t, start, stop):
+    """scan_runs flattened to (n, head), checking that each run has one digit count."""
+    flat = []
+    for n0, heads in scan_runs(table, base, t, start, stop):
+        assert heads and len({digit_count(table[n], base) for n in range(n0, n0 + len(heads))}) == 1
+        flat.extend(enumerate(heads, n0))
+    return flat
+
+
 def _base_lengths():
     for base in (2, 3, 10, 16):
         for t in range(2 if base == 2 else 1, 5):
@@ -143,41 +153,88 @@ def _base_lengths():
 
 
 def test_scan_heads_matches_exact_extraction(p_table, pl_table):
-    # the carried divisor gives the exact head at every index, and exactly
-    # the indices whose value has at least t digits
+    # each run's one division gives the exact head at every index, and
+    # exactly the indices whose value has at least t digits
     for table, stop in ((p_table, 5000), (pl_table, 1500)):
         for base, t in _base_lengths():
-            scanned = list(scan_heads(table, base, t, 0, stop))
+            scanned = _scanned_heads(table, base, t, 0, stop)
             assert scanned == _exact_heads(table, base, t, 0, stop), (table.kind, base, t)
 
 
 def test_scan_heads_census_start_and_grown_table():
     grown = SequenceTable(SequenceKind.PLANE_PARTITION).extend(300)
     for base, t in _base_lengths():
-        assert list(scan_heads(grown, base, t, 1, 400)) == _exact_heads(grown, base, t, 1, 400)
+        assert _scanned_heads(grown, base, t, 1, 400) == _exact_heads(grown, base, t, 1, 400)
     assert grown.last_index == 400  # grown to `stop`, not past it
+
+
+def test_scan_heads_start_and_stop_on_run_edges(p_table):
+    # the last index whose value has d digits, the first with d + 1, and
+    # an index inside a run, each as a start and as a stop
+    for base, t in ((2, 3), (10, 2), (16, 1)):
+        counts = [digit_count(p_table[n], base) for n in range(2001)]
+        first = next(n for n in range(1000, 2001) if counts[n] > counts[n - 1])
+        last = first - 1
+        middle = next(n for n in range(first + 1, 2001) if counts[n + 1] > counts[n]) // 2 + first // 2
+        assert counts[last] < counts[first] == counts[middle]
+        for start in (last, first, middle):
+            for stop in (last, first, middle, 2000):
+                if start <= stop:
+                    assert _scanned_heads(p_table, base, t, start, stop) == _exact_heads(
+                        p_table, base, t, start, stop
+                    ), (base, t, start, stop)
 
 
 def test_scan_heads_grows_only_as_far_as_consumed():
     table = SequenceTable(SequenceKind.PARTITION)
-    scan = scan_heads(table, 10, 3, 0, 100_000)
-    assert next(n for n, head in scan if head == 727) == 521
+    scan = scan_runs(table, 10, 3, 0, 100_000)
+    assert next(n0 + heads.index(727) for n0, heads in scan if 727 in heads) == 521
     assert table.last_index == 768  # three growth chunks, not the horizon or a doubling
     scan.close()
 
 
-def test_scan_heads_recounts_after_a_decrease():
-    class Stub:
-        values = [1, 5000, 7, 123456, 12, 99, 100000, 3456]
-        last_index = len(values) - 1
+def test_scan_heads_refuses_a_decrease():
+    # the scan bisects, so it needs nondecreasing values, and checks them:
+    # a decrease anywhere in a run, or a large value hidden among the short
+    # ones it skips, raises instead of being miscounted
+    class Stub(list):
+        @property
+        def last_index(self):
+            return len(self) - 1
 
-        def __getitem__(self, n):
-            return self.values[n]
+        def values(self, lo, hi):
+            return self[lo:hi]
 
-    for base, t in ((10, 1), (10, 2), (2, 3), (16, 2)):
-        assert list(scan_heads(Stub(), base, t, 0, Stub.last_index)) == _exact_heads(
-            Stub.values, base, t, 0, Stub.last_index
-        )
+    for values, base, t in (
+        ([1, 5000, 7, 123456, 12, 99, 100000, 3456], 10, 1),
+        ([10, 20, 30, 15, 150, 20, 300], 10, 2),
+        ([1, 500, 2, 3, 5, 7, 11, 150, 220], 10, 3),  # 500 hidden in the skipped prefix
+        ([1, 1, 2, 3, 5000, 7, 11, 15, 22], 10, 3),  # short values after a long one
+        ([4, 5, 6, 7, 3], 2, 2),
+        ([1, 2, 30, 4, 5], 10, 1),  # a long value inside a run of short ones
+    ):
+        stub = Stub(values)
+        with pytest.raises(RuntimeError, match="decreases"):
+            list(scan_runs(stub, base, t, 0, stub.last_index))
+    # the same values sorted scan as usual
+    stub = Stub(sorted([1, 5000, 7, 123456, 12, 99, 100000, 3456]))
+    assert _scanned_heads(stub, 10, 2, 0, stub.last_index) == _exact_heads(
+        stub, 10, 2, 0, stub.last_index
+    )
+
+
+def test_scans_parse_only_the_cache_chunks_they_read(tmp_path):
+    # a 24,001-entry cache holds 24 chunks of 1,024 entries
+    path = tmp_path / "p.table"
+    SequenceTable(SequenceKind.PARTITION).extend(24000).save(path)
+    loaded = SequenceTable.load(path)
+    digit_census(SequenceKind.PARTITION, 10, 1, 1500, table=loaded)
+    assert loaded._unparsed_chunks == 22  # 0..1023 and 1024..2047 read
+    assert all(v is None for v in loaded._values[2048:])
+    loaded = SequenceTable.load(path)
+    assert verify_theorem(SequenceKind.PARTITION, 10, 1, table=loaded).max_n_min == 60
+    assert loaded._unparsed_chunks == 23  # 0..1023 read
+    assert all(v is None for v in loaded._values[1024:])
 
 
 def test_verify_theorem_partition(p_table):
