@@ -175,7 +175,8 @@ def test_scan_heads_start_and_stop_on_run_edges(p_table):
         counts = [digit_count(p_table[n], base) for n in range(2001)]
         first = next(n for n in range(1000, 2001) if counts[n] > counts[n - 1])
         last = first - 1
-        middle = next(n for n in range(first + 1, 2001) if counts[n + 1] > counts[n]) // 2 + first // 2
+        end = next(n for n in range(first, 2000) if counts[n + 1] > counts[n])
+        middle = (first + end) // 2
         assert counts[last] < counts[first] == counts[middle]
         for start in (last, first, middle):
             for stop in (last, first, middle, 2000):
