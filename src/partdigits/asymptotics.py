@@ -16,9 +16,10 @@ estimate is derived from them: its midpoint is the model's main term and
 its envelope c4*n^(-theta), both certified intervals.  n^theta is read off
 exact integer roots, isqrt(n * 2^(2P)) or the integer cube root of
 n^2 * 2^(3P) at the estimate's precision P, so the only transcendental
-call per estimate is log n.  Everything here computes on
-interval_context(P) for the P it is passed, so no result depends on
-mpmath's global precision.
+call per estimate is log n, one mpf_log (certified.log_bracket).  The
+constants compute on interval_context(P), an estimate on their raw (lo,
+hi) endpoint pairs with the libmpi operations behind that context's
+operators, so no result depends on mpmath's global precision.
 
 c4 and K are stated, not derived: nothing here proves the envelope.  For
 PL, K = 2829 is the first n where 200/n^(2/3) falls below one nat.  The
@@ -34,9 +35,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath.libmp import from_man_exp, mpf_abs, mpf_le, mpf_sub, round_ceiling, round_floor
+from mpmath import iv
+from mpmath.libmp import from_man_exp, mpf_abs, mpf_le, mpf_sub, mpi_add, mpi_div, mpi_mul
+from mpmath.libmp import round_ceiling, round_floor
 
 from .certified import DEFAULT_PRECISION, as_interval, ceil_sup, inf, interval_context, ln_base, sup
+from .certified import log_bracket
 from .digits import check_digit_domain
 from .engines import SequenceKind
 from .framework import FrameworkParams
@@ -210,28 +214,23 @@ def _iroot_bracket(m: int, q: int) -> tuple[int, int]:
     return lo, lo + (lo**q != m)
 
 
-def _estimate(
-    kind: SequenceKind, n: int, base: int, precision: int = DEFAULT_PRECISION
-) -> LogEstimate:
-    params = _instantiate(kind, base, precision)
+def _estimate(kind: SequenceKind, n: int, base: int, prec: int = DEFAULT_PRECISION) -> LogEstimate:
+    params = _instantiate(kind, base, prec)
     if n < params.K:
         raise ValueError(f"estimate valid for n >= {params.K}, got {n}")
     theta = THETA[kind]
     p, q = theta.numerator, theta.denominator
-    # n^theta * 2^P lies between the integer q-th roots of n^p * 2^(qP), P = precision
-    lo, hi = _iroot_bracket(n**p << (q * precision), q)
-    ctx = interval_context(precision)
-    power = ctx.make_mpf((
-        from_man_exp(lo, -precision, precision, round_floor),
-        from_man_exp(hi, -precision, precision, round_ceiling),
-    ))
-    # make_mpf takes the endpoints in as they are, without convert's checks
-    c1, c2, c3, c4 = (ctx.make_mpf(x._mpi_) for x in (params.c1, params.c2, params.c3, params.c4))
+    # n^theta * 2^P lies between the integer q-th roots of n^p * 2^(qP), P = prec
+    lo, hi = _iroot_bracket(n**p << (q * prec), q)
+    power = (from_man_exp(lo, -prec, prec, round_floor), from_man_exp(hi, -prec, prec, round_ceiling))
+    # interval_context(prec)'s operators call these mpi_ functions: same endpoints
+    c1, c2, c3, c4 = (x._mpi_ for x in (params.c1, params.c2, params.c3, params.c4))
+    main = mpi_add(mpi_mul(c1, power, prec), mpi_mul(c2, log_bracket(n, prec), prec), prec)
     return LogEstimate(
         n=n,
         base=base,
-        midpoint=as_interval(c1 * power + c2 * ctx.log(n) + c3),
-        envelope=as_interval(c4 / power),
+        midpoint=iv.make_mpf(mpi_add(main, c3, prec)),
+        envelope=iv.make_mpf(mpi_div(c4, power, prec)),
         valid_from=params.K,
     )
 

@@ -4,7 +4,8 @@ Every quantity that feeds a comparison is an ``mpmath.iv`` interval with
 outward rounding, so a True/False answer from the helpers here is a proof
 at the precision the caller passed; the third answer is "undecided".
 Each certified layer computes on `interval_context(precision)`, whose
-values round at that precision whatever mpmath's global precision is,
+values round at that precision whatever mpmath's global precision is, or
+on the raw (lo, hi) endpoint pairs of libmp with every rounding directed,
 and hands its results on as ``iv.mpf`` values with the same endpoints.
 """
 from __future__ import annotations
@@ -15,7 +16,8 @@ from fractions import Fraction
 import mpmath
 from mpmath import iv, mp
 from mpmath.ctx_iv import MPIntervalContext
-from mpmath.libmp import from_int, mpf_log, mpf_sub, round_ceiling, round_floor, to_int
+from mpmath.libmp import from_int, from_man_exp, mpf_ge, mpf_log, mpf_lt, mpf_sub, to_int
+from mpmath.libmp import round_ceiling, round_floor
 
 DEFAULT_PRECISION = 192  # bits: the default of the ops that take a precision
 
@@ -71,6 +73,24 @@ def ln_base(base: int, precision: int):
     return iv.make_mpf((mpf_log(b, precision, round_floor), mpf_log(b, precision, round_ceiling)))
 
 
+def log_bracket(x: int, precision: int) -> tuple[tuple, tuple]:
+    """Raw endpoints of ln x rounded down and up at `precision` bits, for an integer x >= 2.
+
+    One mpf_log call, not two.  mpmath 1.3.0's mpf_log (libelefun.mpf_log)
+    computes a single fixed-point value at precision + 20 bits or more and
+    rounds that value in the requested direction, whichever branch it
+    takes.  So its round_ceiling result is at most one ulp above its
+    round_floor result, and the floor plus one ulp at `precision` bits
+    encloses everything the two calls enclose: the bracket is exactly as
+    trustworthy as the two-call pair, and one ulp wider at most.  A test
+    pins this against the two calls, because an mpmath whose mpf_log rounds
+    two separate evaluations would break the argument.
+    """
+    lo = mpf_log(from_int(x), precision, round_floor)
+    _, man, exp, bc = lo  # positive, since x >= 2
+    return lo, from_man_exp((man << (precision - bc)) + 1, exp + bc - precision)
+
+
 def inf(x) -> mpmath.mpf:
     """Exact lower endpoint of an interval, as an mpf."""
     return mp.make_mpf(as_interval(x)._mpi_[0])
@@ -87,10 +107,10 @@ def membership_half_open(x, lo, hi) -> bool | None:
     x, lo, hi are enclosures of the three real numbers; the answer refers
     to the true values.
     """
-    x, lo, hi = as_interval(x), as_interval(lo), as_interval(hi)
-    if inf(x) >= sup(lo) and sup(x) < inf(hi):
+    (x_lo, x_hi), (lo_lo, lo_hi), (hi_lo, hi_hi) = (as_interval(v)._mpi_ for v in (x, lo, hi))
+    if mpf_ge(x_lo, lo_hi) and mpf_lt(x_hi, hi_lo):
         return True
-    if sup(x) < inf(lo) or inf(x) >= sup(hi):
+    if mpf_lt(x_hi, lo_lo) or mpf_ge(x_lo, hi_hi):
         return False
     return None
 

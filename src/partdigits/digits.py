@@ -16,10 +16,10 @@ import math
 from dataclasses import dataclass
 
 from mpmath import iv
-from mpmath.libmp import fone, from_int, mpf_add, mpf_div, mpf_log, mpf_lt, mpf_mul, mpf_sub
+from mpmath.libmp import fone, from_int, mpf_add, mpf_div, mpf_lt, mpf_mul, mpf_sub
 from mpmath.libmp import round_ceiling, round_floor
 
-from .certified import DEFAULT_PRECISION, ln_base, membership_half_open
+from .certified import DEFAULT_PRECISION, ln_base, log_bracket, membership_half_open
 
 _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
@@ -138,8 +138,8 @@ def _log_int(value: int, base: int, precision: int, less: int | None):
     less = None subtracts the digit count of value minus one, which leaves
     the fractional part.  Reads a leading window head = value // b^z of 3/4
     of `precision`, w digits, so value lies in [head*b^z, (head+1)*b^z).
-    The one logarithm taken is ln(head), rounded down and up and divided
-    outward by ln_base's endpoints; the upper end adds
+    The one logarithm taken is ln(head), one mpf_log call bracketed by
+    log_bracket and divided outward by ln_base's endpoints; the upper end adds
     1/(head ln b) >= log_b(head + 1) - log_b(head), capped at w because
     head + 1 <= b^w.  Only raw endpoints are handled, every operation
     rounded outward at `precision`, so the global precision plays no part;
@@ -158,8 +158,9 @@ def _log_int(value: int, base: int, precision: int, less: int | None):
     if head * base == base**w:
         lo_end = hi_end = from_int(w - 1)
     else:
-        lo_end = mpf_div(mpf_log(h, precision, round_floor), lb_hi, precision, round_floor)
-        hi_end = mpf_div(mpf_log(h, precision, round_ceiling), lb_lo, precision, round_ceiling)
+        ln_lo, ln_hi = log_bracket(head, precision)
+        lo_end = mpf_div(ln_lo, lb_hi, precision, round_floor)
+        hi_end = mpf_div(ln_hi, lb_lo, precision, round_ceiling)
     if rem:
         head_lb = mpf_mul(h, lb_lo, precision, round_floor)
         step = mpf_div(fone, head_lb, precision, round_ceiling)

@@ -1,5 +1,6 @@
-"""Shared fixtures: the two big exact tables, built once per session, and
-the reference main term of the growth model.
+"""Shared fixtures: the two big exact tables, built once per session, the
+reference main term of the growth model, and the interval-object form of
+the log estimates.
 
 The partition table to 5e4 takes about 1.1 s and the plane-partition
 table to 2e4 about 27 s (2-core x86 VM, CPython 3.11), so neither is
@@ -8,8 +9,10 @@ rebuilt per test.
 from __future__ import annotations
 
 import pytest
+from mpmath.libmp import from_man_exp, round_ceiling, round_floor
 
 from partdigits import SequenceKind, SequenceTable
+from partdigits.asymptotics import THETA, _instantiate, _iroot_bracket
 from partdigits.certified import interval_context
 
 P_TABLE_MAX = 50_000
@@ -44,3 +47,27 @@ def _main_term(params, n: int, precision: int = 192):
 @pytest.fixture
 def main_term():
     return _main_term
+
+
+def _estimate_reference(kind: SequenceKind, n: int, base: int, precision: int):
+    """(midpoint, envelope) endpoint pairs of the estimate for n, computed
+    with interval_context(precision) objects and its two directed logs of
+    n: the tests' reference for the raw-endpoint estimates, which must
+    equal it bit for bit while n < 2^precision (above that the context
+    rounds n before taking its log)."""
+    params = _instantiate(kind, base, precision)
+    theta = THETA[kind]
+    p, q = theta.numerator, theta.denominator
+    lo, hi = _iroot_bracket(n**p << (q * precision), q)
+    ctx = interval_context(precision)
+    power = ctx.make_mpf((
+        from_man_exp(lo, -precision, precision, round_floor),
+        from_man_exp(hi, -precision, precision, round_ceiling),
+    ))
+    c1, c2, c3, c4 = (ctx.make_mpf(x._mpi_) for x in (params.c1, params.c2, params.c3, params.c4))
+    return (c1 * power + c2 * ctx.log(n) + c3)._mpi_, (c4 / power)._mpi_
+
+
+@pytest.fixture
+def estimate_reference():
+    return _estimate_reference

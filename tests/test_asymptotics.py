@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mpf
+from mpmath.libmp import from_int, from_man_exp, mpf_log, mpf_sub, round_ceiling, round_floor
 
 from partdigits import (
+    SequenceKind,
     eval_constants,
     instantiate_p,
     instantiate_pl,
@@ -21,7 +23,7 @@ from partdigits.asymptotics import (
     PL_VALID_FROM,
     _iroot_bracket,
 )
-from partdigits.certified import inf, interval_context, sup
+from partdigits.certified import inf, interval_context, log_bracket, sup
 
 # 50-digit references computed once by scripts/compute_reference_constants.py
 # with mpmath at 60 decimal digits; pinned here as an independent cross-check.
@@ -211,3 +213,46 @@ def test_estimates_match_the_interval_power_formula(main_term):
                 for ours, ref in ((est.midpoint, mid), (est.envelope, env)):
                     assert inf(ours) <= sup(ref) and inf(ref) <= sup(ours), (n, b)
                     assert sup(ours) - inf(ours) <= 2 * (sup(ref) - inf(ref)), (n, b)
+
+
+def test_estimates_equal_the_interval_object_reference(estimate_reference):
+    # the raw-endpoint estimates are bit-identical to the same formula on
+    # interval_context objects, for every n below 2^precision
+    rng = random.Random(23)
+    ns = [4, 5, 99, 100, 1000, 2829, 12_345, 5 * 10**4, 10**6, 10**12]
+    ns += [rng.randrange(4, 10 ** rng.randint(1, 12) + 4) for _ in range(100)]
+    kinds = (
+        (SequenceKind.PARTITION, log_p_estimate, P_VALID_FROM),
+        (SequenceKind.PLANE_PARTITION, log_pl_estimate, PL_VALID_FROM),
+    )
+    checked = 0
+    for kind, estimate, valid_from in kinds:
+        for precision in (64, 192, 384):
+            for b in (2, 3, 10, 16, 36):
+                for n in ns:
+                    if not valid_from <= n < 2**precision:
+                        continue
+                    est = estimate(n, b, precision)
+                    ours = est.midpoint._mpi_, est.envelope._mpi_
+                    assert ours == estimate_reference(kind, n, b, precision), (kind, n, b, precision)
+                    checked += 1
+    assert checked > 2_000
+
+
+@pytest.mark.parametrize("precision", [64, 192, 384])
+def test_log_bracket_holds_the_two_directed_logs(precision):
+    # one mpf_log call rounded down, plus one ulp, contains the pair of
+    # calls rounded down and up and is at most one ulp wider: mpf_log rounds
+    # one value in the requested direction, which is what log_bracket needs
+    rng = random.Random(precision)
+    xs = {2**k + d for k in range(1, 601) for d in (-1, 0, 1)} - {2**600 + 1}
+    xs |= {10**k + d for k in range(1, 181) for d in (-1, 0, 1)}
+    xs |= set(range(2, 2_000)) | {rng.randrange(2, 2**rng.randint(2, 600)) for _ in range(500)}
+    for x in sorted(xs - {1}):
+        lo, hi = log_bracket(x, precision)
+        floor = mpf_log(from_int(x), precision, round_floor)
+        ceiling = mpf_log(from_int(x), precision, round_ceiling)
+        _, _, exp, bc = floor
+        assert lo == floor, x
+        assert mpf_sub(hi, lo) == from_man_exp(1, exp + bc - precision), x
+        assert hi == ceiling or ceiling == floor, x

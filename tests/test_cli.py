@@ -8,6 +8,7 @@ import re
 import struct
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +20,7 @@ import partdigits
 import partdigits.asymptotics as asymptotics
 import partdigits.certified as certified
 import partdigits.cli as cli
+import partdigits.engines as engines
 from partdigits import (
     DigitString,
     FrameworkParams,
@@ -521,6 +523,24 @@ def test_a_run_refused_by_its_budget_saves_what_it_built(tmp_path, capsys, monke
     code, out, _ = _run(capsys, *cached, "--limit", "1553")
     monkeypatch.undo()
     assert (code, out) == _run(capsys, *census, "--limit", "1553")[:2]
+
+
+def test_a_census_past_what_the_budget_can_hold_is_refused_up_front(capsys, monkeypatch):
+    # 1e8 entries need at least 3.6 GB of table, so a 4M budget refuses at
+    # once, where building up to the budget took over a second
+    def build(*args):
+        raise AssertionError("the refused census built entries")
+
+    monkeypatch.setattr(SequenceTable, "extend", build)
+    started = time.perf_counter()
+    code, out, err = _run(
+        capsys, "census", "--kind", "p", "--base", "10", "--t", "1",
+        "--limit", "100000000", "--memory-budget", "4M",
+    )
+    assert time.perf_counter() - started < 0.2
+    assert (code, out) == (EXIT_RESOURCE, "")
+    need = (10**8 + 1) * engines._int_size(1)
+    assert f"a census to n = 100000000 needs at least {need} bytes" in err
 
 
 SELFTEST_NAMES = (
