@@ -404,13 +404,10 @@ def _selftest_checks():
         all(pl_table[n] == brute_force_pl(n) for n in range(9)),
     ))
 
-    sieve = [0] * 301
-    for d in range(1, 301):
-        for m in range(d, 301, d):
-            sieve[m] += d * d
+    # the sieve the pl engine multiplies with, against divisor-pair enumeration
     checks.append((
         "sigma2-vs-divisor-sieve",
-        all(sigma2(k) == sieve[k] for k in range(1, 301)),
+        all(pl_table._sigma2[k] == sigma2(k) for k in range(1, 301)),
     ))
 
     checks.append(("partition-log-envelope", all(

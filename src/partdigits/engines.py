@@ -32,21 +32,18 @@ after the other).
 Tables grow lazily in chunks and account their memory against a byte
 budget; extension aborts with ResourceLimitError rather than thrash.
 
-A table saves to a cache file (format version 3): a header with the
-entry count, the entries' estimated bytes and, for PL, the first pending
-target, the pending count and the pending sums' estimated bytes; one
-uint32 length per record; the records, entries first; and a SHA-256
-digest of everything before it, so a flipped bit anywhere is refused on
-load.  A loaded table is in the state the saved one was in.  Loading
-checks the digest, the last entry's recurrence and, for PL, the pending
-sum for the last entry, charges the budget for every record at once,
-parses the pending sums and keeps the file's bytes: entries are parsed
-1024 at a time when first read, by indexing or by `values(lo, hi)`,
-which returns entries lo..hi-1 as a list and parses only the chunks
-that window covers.  A 24,001-entry p cache
-(1.2 MB, format version 2) loaded in 3.9 ms against 28 ms for the eager
-version 1 reader; parsing all of it afterwards took 14 ms (best of 15
-calls, same 2-core x86 VM, alternating with the old code).
+A table saves to a cache file (format version 4): a header with the
+entry count, the entries' estimated bytes and, for PL, the pending count
+and the pending sums' estimated bytes; the entries' frames and then the
+pending sums', each a uint32 width w and up to 256 records of w bytes; and
+a SHA-256 digest of everything before it, so a flipped bit anywhere is
+refused on load.  A loaded table is in the state the saved one was in.
+Loading checks the digest, the last entry's recurrence and, for PL, the
+pending sum for the last entry, charges the budget for every record at
+once and keeps the file's bytes: entries are parsed a frame at a time
+when first read.  A 24,001-entry p cache (1.1 MB) loaded in 1.5-1.9 ms
+and saved in 6.1-6.6 ms, against 2.1-2.9 ms and 10-17 ms for format 3
+(best of 15 calls, 2-core x86 VM, alternating with format 3).
 """
 from __future__ import annotations
 
@@ -55,7 +52,7 @@ import struct
 import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from enum import Enum
-from itertools import accumulate, islice, zip_longest
+from itertools import islice, zip_longest
 from math import isqrt
 from operator import mul
 from pathlib import Path
@@ -66,14 +63,15 @@ BRUTE_FORCE_P_MAX = 40
 BRUTE_FORCE_PL_MAX = 12
 
 _CACHE_MAGIC = b"PDTB"
-_CACHE_VERSION = 3
+_CACHE_VERSION = 4
 # magic, version, kind (1 = p, 2 = pl), reserved, entry count, the
-# entries' estimated bytes (the sum of _int_size over them), the first
-# pending target, the pending count and the pending sums' estimated bytes
-_CACHE_HEADER = struct.Struct("<4sHBBQQQQQ")
+# entries' estimated bytes (the sum of _int_size over them), the pending
+# count and the pending sums' estimated bytes
+_CACHE_HEADER = struct.Struct("<4sHBBQQQQ")
 _DIGEST_SIZE = 32  # SHA-256 of everything before it
-# A loaded table parses its records this many at a time, when first read.
-_PARSE_CHUNK = 1024
+# Records are stored in frames of this many, each frame's records at one
+# width; a loaded table parses its entries a frame at a time, when first read.
+_PARSE_CHUNK = 256
 
 # Blocked plane-partition convolution: terms sigma2(k) * PL(n-k) with
 # k < _LEAF are summed per n; the rest come from block products of length
@@ -225,8 +223,8 @@ class SequenceTable:
     """Lazily extended exact table of p(n) or PL(n), n = 0..last_index.
 
     A table loaded from a cache keeps the file's bytes and parses its
-    entries _PARSE_CHUNK at a time, when one of them is first read or
-    the table extends (until then `_values` holds None for them).
+    entries a frame of _PARSE_CHUNK at a time, when one of them is first
+    read or the table extends (until then `_values` holds None for them).
     """
 
     def __init__(self, kind: SequenceKind, memory_budget: int | None = None):
@@ -245,11 +243,11 @@ class SequenceTable:
         # below _LEAF), so the sum for target n is _pending[n % _LEAF].
         self._pending: list[int] = []
         self._pending_bytes = 0
-        # A loaded table's file contents and the offsets of its records, the
-        # entries' and then the pending sums' (one past the last as well),
-        # until no chunk of entries is left unparsed.
+        # A loaded table's file contents and the (start, stop, width) of its
+        # frames, the entries' and then the pending sums', until no frame of
+        # entries is left unparsed.
         self._raw: bytes | None = None
-        self._offsets: "array.array[int] | None" = None
+        self._frames: list[tuple[int, int, int]] | None = None
         self._unparsed_chunks = 0
 
     def __len__(self) -> int:
@@ -265,7 +263,7 @@ class SequenceTable:
         return value
 
     def values(self, lo: int, hi: int) -> list[int]:
-        """Entries lo..hi-1 as a new list, parsing only the chunks of a loaded cache they fall in."""
+        """Entries lo..hi-1 as a new list, parsing only the loaded cache frames they fall in."""
         if not 0 <= lo <= hi <= len(self._values):
             raise IndexError(f"table holds n = 0..{self.last_index}, got {lo}..{hi - 1}")
         if self._unparsed_chunks:
@@ -425,25 +423,22 @@ class SequenceTable:
     # -- cache ----------------------------------------------------------
 
     def save(self, path) -> None:
-        """Write the table to a cache file, format version 3.
+        """Write the table to a cache file, format version 4.
 
-        The file is the header, one uint32 record length per entry and per
-        pending sum, the records (each value's minimal little-endian bytes,
-        the entries' and then the pending sums') and the SHA-256 digest of
-        everything before it.  A loaded table parses its remaining entries
-        first; the file is then encoded and hashed _PARSE_CHUNK records at
-        a time, into a temp file of this save's own in path's directory
-        (mode 0600), which is renamed over path once complete.  Saves at
-        once never mix their bytes, the last complete rename wins, and a
-        save that fails removes its temp file and leaves path as it was.
+        After the header come the entries' frames, then the pending sums'.
+        A frame is _PARSE_CHUNK records (the last of its kind may be fewer):
+        a uint32 width w, the byte length of its largest record, then each
+        record in w little-endian bytes.  A SHA-256 of all that ends the
+        file.  The frames are encoded and hashed one at a time into a temp
+        file (mode 0600) in path's directory, renamed over path once
+        complete: saves at once never mix their bytes, the last rename
+        wins, and a failed save leaves path as it was.
         """
         import hashlib
         import tempfile
 
         self._parse_all()
-        records = self._values + self._pending
         kind_code = 1 if self.kind is SequenceKind.PARTITION else 2
-        chunks = range(0, len(records), _PARSE_CHUNK)
         digest = hashlib.sha256()
         path = Path(path)
         fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
@@ -454,20 +449,16 @@ class SequenceTable:
                     digest.update(blob)
                     fh.write(blob)
 
-                last = self.last_index
                 write(_CACHE_HEADER.pack(
                     _CACHE_MAGIC, _CACHE_VERSION, kind_code, 0, len(self._values),
-                    self._entry_bytes, last - last % _LEAF if self._pending else 0,
-                    len(self._pending), self._pending_bytes,
+                    self._entry_bytes, len(self._pending), self._pending_bytes,
                 ))
-                for lo in chunks:
-                    chunk = records[lo : lo + _PARSE_CHUNK]
-                    write(struct.pack(f"<{len(chunk)}I", *map(_payload_size, chunk)))
-                for lo in chunks:
-                    write(b"".join([
-                        v.to_bytes(_payload_size(v), "little")
-                        for v in records[lo : lo + _PARSE_CHUNK]
-                    ]))
+                for records in (self._values, self._pending):
+                    for lo in range(0, len(records), _PARSE_CHUNK):
+                        frame = records[lo : lo + _PARSE_CHUNK]
+                        w = _payload_size(max(frame))
+                        write(w.to_bytes(4, "little"))
+                        write(b"".join([v.to_bytes(w, "little") for v in frame]))
                 fh.write(digest.digest())
             os.replace(tmp, path)
         except BaseException:
@@ -483,12 +474,12 @@ class SequenceTable:
     ) -> "SequenceTable":
         """Load a cache file, verifying its digest and last entry (for PL, with its pending sum).
 
-        The pending sums are parsed here, the entries later, a chunk at a
-        time as they are read.  The budget is charged for all of them here,
-        with the totals that the header stores.
+        One walk over the frames finds each one's records and width.  The
+        pending sums are parsed here, the entries a frame at a time as they
+        are read; the budget is charged for all of them here, from the
+        header's totals.
         """
         import hashlib
-        from array import array
 
         path = Path(path)
         data = path.read_bytes()
@@ -508,7 +499,7 @@ class SequenceTable:
             or hashlib.sha256(memoryview(data)[:body]).digest() != data[body:]
         ):
             raise CacheFormatError(f"{path}: checksum mismatch (corrupt or truncated file)")
-        (_, _, kind_code, _, count, entry_bytes, pending_from, pending_count,
+        (_, _, kind_code, _, count, entry_bytes, pending_count,
          pending_bytes) = _CACHE_HEADER.unpack_from(data)
         if kind_code not in (1, 2):
             raise CacheFormatError(f"{path}: unknown sequence kind {kind_code}")
@@ -521,49 +512,56 @@ class SequenceTable:
             raise CacheFormatError(f"{path}: empty table")
         last = count - 1
         if kind is SequenceKind.PARTITION or last < _LEAF:  # no product run yet
-            pending_ok = pending_from == pending_count == pending_bytes == 0
+            pending_ok = pending_count == pending_bytes == 0
         else:  # the sums of the last run reach past the last entry
-            pending_ok = pending_from == last - last % _LEAF and pending_count > last % _LEAF
+            pending_ok = pending_count > last % _LEAF
         if not pending_ok:
             raise CacheFormatError(f"{path}: pending sums do not fit a {count}-entry table")
-        first = _CACHE_HEADER.size + 4 * (count + pending_count)  # the first record
-        if first > body:
-            raise CacheFormatError(f"{path}: truncated record lengths")
-        lengths = array("I", data[_CACHE_HEADER.size : first])
-        if sys.byteorder == "big":
-            lengths.byteswap()
-        offsets = array("Q", accumulate(lengths, initial=first))
-        if offsets[-1] != body:
-            raise CacheFormatError(f"{path}: record lengths do not match the records")
+        frames, pos = [], _CACHE_HEADER.size
+        for total in (count, pending_count):
+            for lo in range(0, total, _PARSE_CHUNK):
+                w = int.from_bytes(data[pos : pos + 4], "little")
+                start, pos = pos + 4, pos + 4 + min(_PARSE_CHUNK, total - lo) * w
+                if not w or pos > body:
+                    raise CacheFormatError(f"{path}: frame {len(frames)} of width {w} does not fit")
+                frames.append((start, pos, w))
+        if pos != body:
+            raise CacheFormatError(f"{path}: frames end at byte {pos}, the digest at {body}")
         table = cls(kind, memory_budget=memory_budget)
         if entry_bytes + pending_bytes > table.memory_budget:
             raise ResourceLimitError(f"{path}: cached table exceeds the memory budget")
         table._values = [None] * count
         table._bytes = entry_bytes + pending_bytes
         table._pending_bytes = pending_bytes
-        table._raw, table._offsets = data, offsets
+        table._raw, table._frames = data, frames
         table._unparsed_chunks = -(-count // _PARSE_CHUNK)
-        table._pending = [table._record(n) for n in range(count, count + pending_count)]
+        table._pending = [v for f in frames[table._unparsed_chunks :] for v in table._decode(f)]
         if table._record(0) != 1:
             raise CacheFormatError(f"{path}: entry 0 is {table._record(0)}, expected 1")
         table._verify_last_entry()
         return table
 
+    def _decode(self, frame: tuple[int, int, int], lo=0, hi=_PARSE_CHUNK) -> list[int]:
+        """Records lo..hi-1 of a loaded table's frame (start, stop, width), or to its end."""
+        start, stop, w = frame
+        raw, from_bytes = self._raw, int.from_bytes
+        return [
+            from_bytes(raw[a : a + w], "little")
+            for a in range(start + lo * w, min(start + hi * w, stop), w)
+        ]
+
     def _record(self, n: int) -> int:
-        """Record n of a loaded table (past last_index, a pending sum), read without parsing."""
-        return int.from_bytes(self._raw[self._offsets[n] : self._offsets[n + 1]], "little")
+        """Entry n of a loaded table, read without parsing."""
+        i = n % _PARSE_CHUNK
+        return self._decode(self._frames[n // _PARSE_CHUNK], i, i + 1)[0]
 
     def _parse_chunk(self, n: int) -> None:
-        """Parse the chunk of records that holds entry n; drop the file once none is left."""
+        """Parse the frame of entries that holds entry n; drop the file once none is left."""
         lo = n - n % _PARSE_CHUNK
-        hi = min(lo + _PARSE_CHUNK, len(self._values))
-        raw, off = self._raw, self._offsets
-        self._values[lo:hi] = [
-            int.from_bytes(raw[a:b], "little") for a, b in zip(off[lo:hi], off[lo + 1 : hi + 1])
-        ]
+        self._values[lo : lo + _PARSE_CHUNK] = self._decode(self._frames[n // _PARSE_CHUNK])
         self._unparsed_chunks -= 1
         if not self._unparsed_chunks:
-            self._raw = self._offsets = None
+            self._raw = self._frames = None
 
     def _parse_all(self) -> None:
         """Parse every entry left."""

@@ -671,6 +671,22 @@ def test_selftest(capsys):
     assert out.count("PASS") == 8
 
 
+def test_selftest_checks_the_sieve_the_pl_engine_uses(monkeypatch):
+    # one wrong entry of the built pl table's sigma2 sieve must fail the check
+    extend = SequenceTable.extend
+
+    def extend_then_corrupt(table, n):
+        extend(table, n)
+        if table.kind is SequenceKind.PLANE_PARTITION:
+            table._sigma2[150] += 1
+        return table
+
+    monkeypatch.setattr(SequenceTable, "extend", extend_then_corrupt)
+    checks = dict(cli._selftest_checks())
+    assert checks["sigma2-vs-divisor-sieve"] is False
+    assert checks["plane-recurrence-vs-enumeration"] is True
+
+
 # the functions memoised per precision, cleared so that each run below
 # computes its answers afresh
 _PRECISION_CACHES = (

@@ -309,10 +309,10 @@ def test_a_failed_save_leaves_the_previous_file(tmp_path, monkeypatch):
     calls = 0
 
     def failing_payload_size(v):
-        # the lengths take 3,001 calls, then the records: fail in their middle
+        # one call per frame, 12 frames of entries: fail in the sixth
         nonlocal calls
         calls += 1
-        if calls == 4500:
+        if calls == 6:
             (temp,) = tmp_path.glob("p.table.*.tmp")
             assert temp.stat().st_size > 0  # partly written
             raise OSError(errno.ENOSPC, "No space left on device")
@@ -367,25 +367,33 @@ def test_cache_budget_enforced_on_load(tmp_path):
         SequenceTable.load(path, memory_budget=1024)
 
 
-# Cache format version 3: magic, version, kind, reserved, entry count, the
-# entries' estimated bytes, the first pending target, the pending count and
-# the pending sums' estimated bytes; a uint32 length per entry and per
-# pending sum; the records, entries first; the SHA-256 digest of everything
-# before it.
-V3_HEADER = "<4sHBBQQQQQ"
+# Cache format version 4: magic, version, kind, reserved, entry count, the
+# entries' estimated bytes, the pending count and the pending sums'
+# estimated bytes; the frames of the entries, then those of the pending
+# sums, each a uint32 width w and then up to 256 records of w bytes; the
+# SHA-256 digest of everything before it.
+V4_HEADER = "<4sHBBQQQQ"
 
 
 def _record_span(raw: bytes, i: int) -> tuple[int, int]:
-    """Start and end, in a version 3 cache file, of record i.
+    """Start and end, in a version 4 cache file, of record i.
 
-    Records 0..count-1 are the entries, the ones after them the pending sums.
+    Records 0..count-1 are the entries, the ones after them the pending
+    sums, whose first frame follows the entries' last.  A frame's uint32
+    width is the 4 bytes before its first record.
     """
-    header = struct.calcsize(V3_HEADER)
-    fields = struct.unpack_from(V3_HEADER, raw)
-    records = fields[4] + fields[7]
-    lengths = struct.unpack_from(f"<{records}I", raw, header)
-    start = header + 4 * records + sum(lengths[:i])
-    return start, start + lengths[i]
+    fields = struct.unpack_from(V4_HEADER, raw)
+    count = fields[4]
+    frames, pos = [], struct.calcsize(V4_HEADER)  # (first record, width) of each frame
+    for total in (count, fields[6]):
+        for lo in range(0, total, 256):
+            (width,) = struct.unpack_from("<I", raw, pos)
+            frames.append((pos + 4, width))
+            pos += 4 + min(256, total - lo) * width
+    j = i if i < count else i - count + 256 * -(-count // 256)
+    start, width = frames[j // 256]
+    start += j % 256 * width
+    return start, start + width
 
 
 def _redigest(raw: bytearray) -> bytearray:
@@ -418,11 +426,17 @@ def test_cache_refuses_version_1(tmp_path):
         v1 += struct.pack("<I", 1) + v.to_bytes(1, "little")
     # version 2, without pending sums: header with the entries' estimated
     # bytes, a uint32 length per entry, the records, the digest
-    v2 = struct.pack("<4sHBBQQ", b"PDTB", 2, 1, 0, len(values), 5 * (sys.getsizeof(1) + 8))
+    entry_bytes = 5 * (sys.getsizeof(1) + 8)
+    v2 = struct.pack("<4sHBBQQ", b"PDTB", 2, 1, 0, len(values), entry_bytes)
     v2 += struct.pack(f"<{len(values)}I", *[1] * len(values)) + bytes(values)
     v2 += hashlib.sha256(v2).digest()
+    # version 3, with a pending-sum header: the first pending target, the
+    # pending count and bytes, then the lengths, records and digest as in 2
+    v3 = struct.pack("<4sHBBQQQQQ", b"PDTB", 3, 1, 0, len(values), entry_bytes, 0, 0, 0)
+    v3 += struct.pack(f"<{len(values)}I", *[1] * len(values)) + bytes(values)
+    v3 += hashlib.sha256(v3).digest()
     path = tmp_path / "p.table"
-    for version, blob in ((1, v1), (2, v2)):
+    for version, blob in ((1, v1), (2, v2), (3, v3)):
         path.write_bytes(blob)
         with pytest.raises(CacheFormatError, match=f"version {version}.*delete the file"):
             SequenceTable.load(path)
@@ -432,8 +446,8 @@ def test_cache_stores_pending_sums_parsed_on_extension(tmp_path):
     path = tmp_path / "pl.table"
     table = SequenceTable(SequenceKind.PLANE_PARTITION).extend(299)
     table.save(path)
-    fields = struct.unpack_from(V3_HEADER, path.read_bytes())
-    assert fields[6:] == (256, len(table._pending), table._pending_bytes)
+    fields = struct.unpack_from(V4_HEADER, path.read_bytes())
+    assert fields[6:] == (len(table._pending), table._pending_bytes)
     loaded = SequenceTable.load(path)
     # the load parses every entry to check the last one, and every pending sum
     assert loaded._pending == table._pending and loaded._unparsed_chunks == 0
@@ -446,15 +460,15 @@ def test_cache_stores_pending_sums_parsed_on_extension(tmp_path):
 def test_cache_refuses_a_wrong_pending_sum_for_the_last_entry(tmp_path):
     # files whose digest matches their bytes, and whose last entry passes its
     # recurrence check, but whose stored sum for that entry is off by one,
-    # or whose first pending target is not the last product run
+    # or whose pending sums stop short of that entry
     path = tmp_path / "pl.table"
     SequenceTable(SequenceKind.PLANE_PARTITION).extend(299).save(path)
     raw = bytearray(path.read_bytes())
     path.write_bytes(_redigest(bytearray(raw)))
     SequenceTable.load(path)  # re-digesting alone is accepted
-    moved = bytearray(raw)
-    struct.pack_into("<Q", moved, struct.calcsize(V3_HEADER) - 24, 0)  # _pending_from
-    path.write_bytes(_redigest(moved))
+    short = bytearray(raw)
+    struct.pack_into("<Q", short, struct.calcsize(V4_HEADER) - 16, 299 % 256)  # pending count
+    path.write_bytes(_redigest(short))
     with pytest.raises(CacheFormatError, match="pending sums do not fit"):
         SequenceTable.load(path)
     start, _ = _record_span(raw, 300 + 299 - 256)  # the sum for target 299
@@ -475,15 +489,24 @@ def _flip_low_bit(i):
 
 def _set_header_field(i, value):
     def edit(raw: bytearray) -> None:
-        fields = list(struct.unpack_from(V3_HEADER, raw))
+        fields = list(struct.unpack_from(V4_HEADER, raw))
         fields[i] = value
-        struct.pack_into(V3_HEADER, raw, 0, *fields)
+        struct.pack_into(V4_HEADER, raw, 0, *fields)
 
     return edit
 
 
-def _set_first_length(raw: bytearray) -> None:
-    struct.pack_into("<I", raw, struct.calcsize(V3_HEADER), 2)
+def _set_width(i, width):
+    # the width of the frame that holds entry i, which must be its first
+    def edit(raw: bytearray) -> None:
+        start, _ = _record_span(raw, i)
+        struct.pack_into("<I", raw, start - 4, width)
+
+    return edit
+
+
+def _append_a_byte(raw: bytearray) -> None:
+    raw[-32:-32] = b"\x00"  # between the last frame and the digest
 
 
 @pytest.mark.parametrize(
@@ -494,12 +517,14 @@ def _set_first_length(raw: bytearray) -> None:
         ("pl", 100, _flip_low_bit(99), "convolution remainder at n = 100"),
         ("p", 50, _set_header_field(2, 3), "unknown sequence kind 3"),
         ("p", 50, _set_header_field(4, 0), "empty table"),
-        ("p", 50, _set_header_field(4, 10**6), "truncated record lengths"),
-        ("p", 50, _set_first_length, "record lengths do not match the records"),
+        ("p", 50, _set_header_field(4, 10**6), "frame 0 of width 3 does not fit"),
+        ("p", 600, _set_width(256, 0), "frame 1 of width 0 does not fit"),
+        ("p", 600, _set_width(256, 2**32 - 1), "frame 1 of width 4294967295 does not fit"),
+        ("p", 600, _append_a_byte, "frames end at byte 5038, the digest at 5039"),
         ("p", 50, _flip_low_bit(0), "entry 0 is 0, expected 1"),
     ],
     ids=["p-recurrence", "pl-recurrence", "pl-remainder", "kind", "empty",
-         "truncated-lengths", "lengths-mismatch", "entry-0"],
+         "truncated-frames", "width-0", "width-max", "bytes-after-frames", "entry-0"],
 )
 def test_cache_refuses_a_redigested_file(tmp_path, kind, last, edit, message):
     # files whose digest matches their bytes but whose contents do not hold
@@ -515,7 +540,7 @@ def test_cache_refuses_a_redigested_file(tmp_path, kind, last, edit, message):
 def test_tile_scheme_is_pinned_to_the_cache_version():
     # the cache stores pending sums laid out by the tile scheme: a change to
     # _LEAF or _TILE must come with a new _CACHE_VERSION, and this test with it
-    assert (_LEAF, _TILE, _CACHE_VERSION) == (256, 512, 3)
+    assert (_LEAF, _TILE, _CACHE_VERSION) == (256, 512, 4)
 
 
 def test_loaded_table_parses_entries_on_first_use(tmp_path):
@@ -526,10 +551,12 @@ def test_loaded_table_parses_entries_on_first_use(tmp_path):
     assert loaded.last_index == 3000 and len(loaded) == 3001
     assert all(v is None for v in loaded._values)  # nothing parsed yet
     assert loaded[2500] == table[2500]
-    assert loaded._values.count(None) == 2048  # only the chunk 2048..3000 parsed
-    # a window parses the chunks it covers and no other
-    assert loaded.values(1030, 1040) == [table[n] for n in range(1030, 1040)]
-    assert loaded._values.count(None) == 1024
+    parsed = [n for n, v in enumerate(loaded._values) if v is not None]
+    assert parsed == list(range(2304, 2560))  # only the frame that holds 2500
+    # a window parses the frames it covers and no other
+    assert loaded.values(1020, 1040) == [table[n] for n in range(1020, 1040)]
+    parsed = [n for n, v in enumerate(loaded._values) if v is not None]
+    assert parsed == list(range(768, 1280)) + list(range(2304, 2560))
     assert loaded.values(3001, 3001) == []
     for lo, hi in ((-1, 5), (0, 3002), (10, 9)):
         with pytest.raises(IndexError):
@@ -574,13 +601,13 @@ def test_loaded_budget_is_exact_and_charged_up_front(tmp_path):
     pl.save(tmp_path / "pl")
     pl_entries = sum(sys.getsizeof(pl[n]) + 8 for n in range(1101))
     pl_pending = sum(sys.getsizeof(v) + 8 for v in pl._pending)
-    fields = struct.unpack_from(V3_HEADER, (tmp_path / "pl").read_bytes())
-    assert (fields[5], fields[8]) == (pl_entries, pl_pending)
+    fields = struct.unpack_from(V4_HEADER, (tmp_path / "pl").read_bytes())
+    assert (fields[5], fields[7]) == (pl_entries, pl_pending)
     path = tmp_path / "p"
     table = SequenceTable(SequenceKind.PARTITION).extend(2500)
     table.save(path)
     entries = sum(sys.getsizeof(table[n]) + 8 for n in range(2501))
-    assert struct.unpack_from(V3_HEADER, path.read_bytes())[5] == entries
+    assert struct.unpack_from(V4_HEADER, path.read_bytes())[5] == entries
     assert SequenceTable.load(path).estimated_bytes == entries
     with pytest.raises(ResourceLimitError):
         SequenceTable.load(path, memory_budget=entries - 1)

@@ -225,17 +225,18 @@ def test_scan_heads_refuses_a_decrease():
 
 
 def test_scans_parse_only_the_cache_chunks_they_read(tmp_path):
-    # a 24,001-entry cache holds 24 chunks of 1,024 entries
+    # a 24,001-entry cache holds 94 frames of up to 256 entries
     path = tmp_path / "p.table"
     SequenceTable(SequenceKind.PARTITION).extend(24000).save(path)
     loaded = SequenceTable.load(path)
     digit_census(SequenceKind.PARTITION, 10, 1, 1500, table=loaded)
-    assert loaded._unparsed_chunks == 22  # 0..1023 and 1024..2047 read
-    assert all(v is None for v in loaded._values[2048:])
+    assert loaded._unparsed_chunks == 88  # the six frames 0..1535 read
+    assert None not in loaded._values[:1536]
+    assert all(v is None for v in loaded._values[1536:])
     loaded = SequenceTable.load(path)
     assert verify_theorem(SequenceKind.PARTITION, 10, 1, table=loaded).max_n_min == 60
-    assert loaded._unparsed_chunks == 23  # 0..1023 read
-    assert all(v is None for v in loaded._values[1024:])
+    assert loaded._unparsed_chunks == 93  # the frame 0..255 read
+    assert all(v is None for v in loaded._values[256:])
 
 
 def test_verify_theorem_partition(p_table):
