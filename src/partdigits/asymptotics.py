@@ -13,13 +13,12 @@ where z3 = zeta(3) and B = z3^(7/36) e^(zeta'(-1)) 2^(-11/36) (3 pi)^(-1/2)
 is Wright's constant.  `_instantiate` is the one place they are written;
 theta is the exact fraction THETA, which theorem_bound reads too.  An
 estimate is derived from them: its midpoint is the model's main term and
-its envelope c4*n^(-theta), both certified intervals.  n^theta is read off
-exact integer roots, isqrt(n * 2^(2P)) or the integer cube root of
-n^2 * 2^(3P) at the estimate's precision P, so the only transcendental
-call per estimate is log n, one mpf_log (certified.log_bracket).  The
-constants compute on interval_context(P), an estimate on their raw (lo,
-hi) endpoint pairs with the libmpi operations behind that context's
-operators, so no result depends on mpmath's global precision.
+its envelope c4*n^(-theta), both certified.  The constants compute on
+interval_context(P), an estimate on `certified`'s fixed-point kernel at
+S = P + GUARD_BITS: c1..c4 bracketed once per (kind, b, P), n^theta from
+exact integer roots of n^p * 2^(qS), ln n from one mpf_log (ln_fixed),
+and the rest integer multiply, shift and floor division.  No result
+depends on mpmath's global precision.
 
 c4 and K are stated, not derived: nothing here proves the envelope.  For
 PL, K = 2829 is the first n where 200/n^(2/3) falls below one nat.  The
@@ -35,12 +34,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import iv
-from mpmath.libmp import from_man_exp, mpf_abs, mpf_le, mpf_sub, mpi_add, mpi_div, mpi_mul
-from mpmath.libmp import round_ceiling, round_floor
+from mpmath.libmp import mpf_abs, mpf_le, mpf_sub
 
-from .certified import DEFAULT_PRECISION, as_interval, ceil_sup, inf, interval_context, ln_base, sup
-from .certified import log_bracket
+from .certified import DEFAULT_PRECISION, GUARD_BITS, as_interval, ceil_sup, from_fixed, inf
+from .certified import interval_context, ln_fixed, sup, to_fixed
 from .digits import check_digit_domain
 from .engines import SequenceKind
 from .framework import FrameworkParams
@@ -128,7 +125,7 @@ def _instantiate(kind: SequenceKind, base: int, prec: int) -> FrameworkParams:
         constants = eval_constants(max(prec, MIN_CONSTANT_PRECISION))
         c1 = 3 * (ctx.convert(constants.zeta3) / 4) ** (ctx.mpf(1) / 3)
         c2, c3, c4, K = -ctx.mpf(25) / 36, ctx.log(constants.pl_prefactor), 200, PL_VALID_FROM
-    lb = ctx.convert(ln_base(base, prec))
+    lb = ctx.log(base)
     return FrameworkParams(
         c1=c1 / lb, c2=c2 / lb, c3=c3 / lb, c4=c4 / lb, theta=as_interval(THETA[kind], prec), K=K
     )
@@ -169,7 +166,7 @@ def _theorem_bound(kind: SequenceKind, base: int, t: int) -> int:
     check_digit_domain(base, t)
     prec = horizon_precision(base, t)
     ctx = interval_context(prec)
-    ratio = ctx.mpf(base) ** t / ln_base(base, prec)
+    ratio = ctx.mpf(base) ** t / ctx.log(base)
     return ceil_sup(BOUND_COEFF[kind] * ratio ** as_interval(1 / THETA[kind]))
 
 
@@ -214,25 +211,28 @@ def _iroot_bracket(m: int, q: int) -> tuple[int, int]:
     return lo, lo + (lo**q != m)
 
 
-def _estimate(kind: SequenceKind, n: int, base: int, prec: int = DEFAULT_PRECISION) -> LogEstimate:
+@functools.cache
+def _fixed_params(kind: SequenceKind, base: int, prec: int):
+    """K, then the integer brackets of c1..c4 at the kernel's scale, from _instantiate."""
     params = _instantiate(kind, base, prec)
-    if n < params.K:
-        raise ValueError(f"estimate valid for n >= {params.K}, got {n}")
-    theta = THETA[kind]
-    p, q = theta.numerator, theta.denominator
-    # n^theta * 2^P lies between the integer q-th roots of n^p * 2^(qP), P = prec
-    lo, hi = _iroot_bracket(n**p << (q * prec), q)
-    power = (from_man_exp(lo, -prec, prec, round_floor), from_man_exp(hi, -prec, prec, round_ceiling))
-    # interval_context(prec)'s operators call these mpi_ functions: same endpoints
-    c1, c2, c3, c4 = (x._mpi_ for x in (params.c1, params.c2, params.c3, params.c4))
-    main = mpi_add(mpi_mul(c1, power, prec), mpi_mul(c2, log_bracket(n, prec), prec), prec)
-    return LogEstimate(
-        n=n,
-        base=base,
-        midpoint=iv.make_mpf(mpi_add(main, c3, prec)),
-        envelope=iv.make_mpf(mpi_div(c4, power, prec)),
-        valid_from=params.K,
-    )
+    cs = (params.c1, params.c2, params.c3, params.c4)
+    return params.K, *(end for c in cs for end in to_fixed(c, prec + GUARD_BITS))
+
+
+def _estimate(kind: SequenceKind, n: int, base: int, prec: int = DEFAULT_PRECISION) -> LogEstimate:
+    K, c1_lo, c1_hi, c2_lo, c2_hi, c3_lo, c3_hi, c4_lo, c4_hi = _fixed_params(kind, base, prec)
+    if n < K:
+        raise ValueError(f"estimate valid for n >= {K}, got {n}")
+    s = prec + GUARD_BITS
+    p, q = THETA[kind].numerator, THETA[kind].denominator
+    # n^theta * 2^S lies between the integer q-th roots of n^p * 2^(qS)
+    lo, hi = _iroot_bracket(n**p << (q * s), q)
+    ln_lo, ln_hi = ln_fixed(n, prec)
+    # c1 > 0 > c2: each end of c1*n^theta + c2*ln n pairs c2's end with ln n's other end
+    mid_lo = (c1_lo * lo + c2_lo * ln_hi >> s) + c3_lo
+    mid_hi = -(-(c1_hi * hi + c2_hi * ln_lo) >> s) + c3_hi
+    envelope = from_fixed((c4_lo << s) // hi, -((-c4_hi << s) // lo), s)
+    return LogEstimate(n, base, from_fixed(mid_lo, mid_hi, s), envelope, valid_from=K)
 
 
 def log_p_estimate(n: int, base: int, precision: int = DEFAULT_PRECISION) -> LogEstimate:

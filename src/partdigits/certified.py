@@ -4,9 +4,10 @@ Every quantity that feeds a comparison is an ``mpmath.iv`` interval with
 outward rounding, so a True/False answer from the helpers here is a proof
 at the precision the caller passed; the third answer is "undecided".
 Each certified layer computes on `interval_context(precision)`, whose
-values round at that precision whatever mpmath's global precision is, or
-on the raw (lo, hi) endpoint pairs of libmp with every rounding directed,
-and hands its results on as ``iv.mpf`` values with the same endpoints.
+values round at that precision whatever mpmath's global precision is, or,
+per n, on the fixed-point kernel: integer brackets lo <= x 2^S <= hi at
+S = precision + GUARD_BITS, rounded outward, the guard bits keeping its
+roundings far below 2^-precision; `from_fixed` hands them on as iv.mpf.
 """
 from __future__ import annotations
 
@@ -16,10 +17,11 @@ from fractions import Fraction
 import mpmath
 from mpmath import iv, mp
 from mpmath.ctx_iv import MPIntervalContext
-from mpmath.libmp import from_int, from_man_exp, mpf_ge, mpf_log, mpf_lt, mpf_sub, to_int
+from mpmath.libmp import from_int, from_man_exp, mpf_ge, mpf_log, mpf_lt, mpf_shift, mpf_sub, to_int
 from mpmath.libmp import round_ceiling, round_floor
 
 DEFAULT_PRECISION = 192  # bits: the default of the ops that take a precision
+GUARD_BITS = 32  # keep the kernel's roundings far below 2^-precision
 
 IntervalLike = object  # mpi, int, float, str, Fraction, or (lo, hi) pair
 
@@ -61,34 +63,41 @@ def as_interval(x: IntervalLike, precision: int = DEFAULT_PRECISION):
     return iv.make_mpf(ctx.convert(x)._mpi_)
 
 
+def to_fixed(x, scale: int) -> tuple[int, int]:
+    """Integer bracket of an interval at 2^-scale: floor(lo 2^S), ceil(hi 2^S)."""
+    lo, hi = as_interval(x)._mpi_
+    return to_int(mpf_shift(lo, scale), round_floor), to_int(mpf_shift(hi, scale), round_ceiling)
+
+
+def from_fixed(lo: int, hi: int, scale: int):
+    """The iv.mpf with the exact endpoints lo 2^-scale and hi 2^-scale."""
+    return iv.make_mpf((from_man_exp(lo, -scale), from_man_exp(hi, -scale)))
+
+
+def ln_fixed(x: int, precision: int) -> tuple[int, int]:
+    """Bracket lo <= ln(x) 2^S <= hi at S = precision + GUARD_BITS, for an integer x >= 2.
+
+    One mpf_log call rounded down, and one ulp above it: mpmath 1.3.0's
+    mpf_log rounds one fixed-point value of precision + 20 bits or more in
+    the requested direction, so its ceiling is at most one ulp above its
+    floor.  A test pins this against the two calls.  The ulp is
+    2^(exp + bc - precision), as trailing zeros may be stripped; ln x >= ln 2
+    makes both ends exact shifts.
+    """
+    _, man, exp, bc = mpf_log(from_int(x), precision, round_floor)
+    lo = man << (exp + precision + GUARD_BITS)
+    return lo, lo + (1 << (exp + bc + GUARD_BITS))
+
+
 @functools.cache
-def ln_base(base: int, precision: int):
-    """Enclosure of ln(base) at `precision` bits, whatever mpmath's global precision is.
-
-    Its endpoints are mpf_log rounded down and up, those of
-    iv.log(iv.mpf(base)) at that precision; cached per (base, precision).
-    """
+def ln_base_reciprocal(base: int, precision: int) -> tuple[int, int]:
+    """Bracket of 2^S / ln(base) at S = precision + GUARD_BITS, divided outward
+    from ln_fixed at S bits (relative width about 2^-S); cached."""
     _check_precision(precision)
-    b = from_int(base)
-    return iv.make_mpf((mpf_log(b, precision, round_floor), mpf_log(b, precision, round_ceiling)))
-
-
-def log_bracket(x: int, precision: int) -> tuple[tuple, tuple]:
-    """Raw endpoints of ln x rounded down and up at `precision` bits, for an integer x >= 2.
-
-    One mpf_log call, not two.  mpmath 1.3.0's mpf_log (libelefun.mpf_log)
-    computes a single fixed-point value at precision + 20 bits or more and
-    rounds that value in the requested direction, whichever branch it
-    takes.  So its round_ceiling result is at most one ulp above its
-    round_floor result, and the floor plus one ulp at `precision` bits
-    encloses everything the two calls enclose: the bracket is exactly as
-    trustworthy as the two-call pair, and one ulp wider at most.  A test
-    pins this against the two calls, because an mpmath whose mpf_log rounds
-    two separate evaluations would break the argument.
-    """
-    lo = mpf_log(from_int(x), precision, round_floor)
-    _, man, exp, bc = lo  # positive, since x >= 2
-    return lo, from_man_exp((man << (precision - bc)) + 1, exp + bc - precision)
+    scale = precision + GUARD_BITS
+    ln_lo, ln_hi = ln_fixed(base, scale)  # at scale S + GUARD_BITS
+    top = 1 << (2 * scale + GUARD_BITS)
+    return top // ln_hi, -(-top // ln_lo)
 
 
 def inf(x) -> mpmath.mpf:

@@ -16,10 +16,10 @@ import math
 from dataclasses import dataclass
 
 from mpmath import iv
-from mpmath.libmp import fone, from_int, mpf_add, mpf_div, mpf_lt, mpf_mul, mpf_sub
-from mpmath.libmp import round_ceiling, round_floor
+from mpmath.libmp import mpf_sub
 
-from .certified import DEFAULT_PRECISION, ln_base, log_bracket, membership_half_open
+from .certified import DEFAULT_PRECISION, GUARD_BITS, from_fixed, ln_base_reciprocal, ln_fixed
+from .certified import membership_half_open
 
 _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
@@ -138,40 +138,31 @@ def _log_int(value: int, base: int, precision: int, less: int | None):
     less = None subtracts the digit count of value minus one, which leaves
     the fractional part.  Reads a leading window head = value // b^z of 3/4
     of `precision`, w digits, so value lies in [head*b^z, (head+1)*b^z).
-    The one logarithm taken is ln(head), one mpf_log call bracketed by
-    log_bracket and divided outward by ln_base's endpoints; the upper end adds
+    On the fixed-point kernel at S = precision + GUARD_BITS, every step
+    rounded outward: ln(head) from one mpf_log (ln_fixed) times the cached
+    bracket of 2^S / ln b, and on the upper end one ceiling division adds
     1/(head ln b) >= log_b(head + 1) - log_b(head), capped at w because
-    head + 1 <= b^w.  Only raw endpoints are handled, every operation
-    rounded outward at `precision`, so the global precision plays no part;
-    the shift z - less is added in the last rounding.  Endpoints at powers
-    of b are exact, so fractional parts never spill outside [0, 1].
+    head + 1 <= b^w; the shift z - less is exact.  Endpoints at powers of b
+    are exact, so fractional parts never spill outside [0, 1].
     """
     d = digit_count(value, base)
+    r_lo, r_hi = ln_base_reciprocal(base, precision)  # refuses a precision below 8 bits
+    s = precision + GUARD_BITS
     w = min(d, max(2, math.ceil(precision * 3 / 4 / math.log2(base))))
     z = d - w
     if base == 2:
         head, rem = value >> z, value & ((1 << z) - 1)
     else:
         head, rem = divmod(value, base**z)
-    lb_lo, lb_hi = ln_base(base, precision)._mpi_
-    h = from_int(head)
     if head * base == base**w:
-        lo_end = hi_end = from_int(w - 1)
+        lo = hi = (w - 1) << s
     else:
-        ln_lo, ln_hi = log_bracket(head, precision)
-        lo_end = mpf_div(ln_lo, lb_hi, precision, round_floor)
-        hi_end = mpf_div(ln_hi, lb_lo, precision, round_ceiling)
+        ln_lo, ln_hi = ln_fixed(head, precision)
+        lo, hi = ln_lo * r_lo >> s, -(-ln_hi * r_hi >> s)
     if rem:
-        head_lb = mpf_mul(h, lb_lo, precision, round_floor)
-        step = mpf_div(fone, head_lb, precision, round_ceiling)
-        hi_end = mpf_add(hi_end, step, precision, round_ceiling)
-        if mpf_lt(from_int(w), hi_end):
-            hi_end = from_int(w)
-    shift = from_int(1 - w if less is None else z - less)
-    return iv.make_mpf((
-        mpf_add(lo_end, shift, precision, round_floor),
-        mpf_add(hi_end, shift, precision, round_ceiling),
-    ))
+        hi = min(hi - (-r_hi // head), w << s)
+    shift = (1 - w if less is None else z - less) << s
+    return from_fixed(lo + shift, hi + shift, s)
 
 
 def log_value_interval(value: int, base: int, precision: int = DEFAULT_PRECISION):

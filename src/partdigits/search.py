@@ -12,9 +12,9 @@ x86 VM).  Every first hit is re-confirmed by `leading_digits` before it
 is reported.
 
 `decide_membership`, the certified fractional-log window test, is not on
-the scan path: on p(48001..50000) in base 10, window "1", it takes 24-27
-us per value against 3-5 us for exact extraction (best of three rounds
-of 2,000 values; CPython 3.11.7, pure-Python mpmath 1.3.0, 2-core Intel
+the scan path: on p(48001..50000) in base 10, window "1", it takes 22-27
+us per value against 3.4-5.5 us for exact extraction (2 x 5 rounds of
+2,000 values; CPython 3.11.7, pure-Python mpmath 1.3.0, 2-core Intel
 Xeon x86 VM).  It stays as library API for audits of the certified layer.
 """
 from __future__ import annotations

@@ -52,9 +52,10 @@ def main_term():
 def _estimate_reference(kind: SequenceKind, n: int, base: int, precision: int):
     """(midpoint, envelope) endpoint pairs of the estimate for n, computed
     with interval_context(precision) objects and its two directed logs of
-    n: the tests' reference for the raw-endpoint estimates, which must
-    equal it bit for bit while n < 2^precision (above that the context
-    rounds n before taking its log)."""
+    n: the tests' reference for the fixed-point estimates, which must
+    enclose it at 4x their precision and be at most twice as wide as it
+    at theirs, while n < 2^precision (above that the context rounds n
+    before taking its log)."""
     params = _instantiate(kind, base, precision)
     theta = THETA[kind]
     p, q = theta.numerator, theta.denominator

@@ -28,10 +28,12 @@ from partdigits import (
     SequenceTable,
     as_interval,
     compute_bounds,
+    frac_log,
     instantiate_p,
     instantiate_pl,
     log_p_estimate,
     log_pl_estimate,
+    log_value_interval,
     target_interval,
     theorem_bound,
 )
@@ -691,9 +693,10 @@ def test_selftest_checks_the_sieve_the_pl_engine_uses(monkeypatch):
 # computes its answers afresh
 _PRECISION_CACHES = (
     certified.interval_context,
-    certified.ln_base,
+    certified.ln_base_reciprocal,
     asymptotics.eval_constants,
     asymptotics._instantiate,
+    asymptotics._fixed_params,
     asymptotics._theorem_bound,
 )
 
@@ -712,6 +715,8 @@ def _certified_answers(capsys):
         for estimate, n in ((log_p_estimate, 1234), (log_pl_estimate, 5000)):
             est = estimate(n, 10, precision)
             answers.append((est.midpoint._mpi_, est.envelope._mpi_))
+        for value, base in ((7, 10), (10**40 + 1, 10), (3**500, 2), (2**300 - 1, 36)):
+            answers += [log(value, base, precision)._mpi_ for log in (log_value_interval, frac_log)]
     # closed forms evaluated at 192, 624 and 864 bits
     answers += [theorem_bound(kind, 10, t) for kind, t in (("p", 2), ("p", 28), ("pl", 40))]
     params = FrameworkParams(c1=Fraction(3, 2), c2=Fraction(-1, 3), c3=0, c4=Fraction(1, 7),

@@ -74,6 +74,17 @@ def test_known_large_values(p_table):
     assert p_table[1000] == 24061467864032622473692149727991
 
 
+def test_partition_table_satisfies_ramanujans_congruences(p_table):
+    # p(5k+4) = 0 mod 5, p(7k+5) = 0 mod 7, p(11k+6) = 0 mod 11 at every k:
+    # an oracle over the whole table that shares nothing with the pentagonal
+    # recurrence, so an engine defect past the divisor-sum check's range
+    # almost surely breaks one of them
+    top = len(p_table) - 1
+    for modulus, residue in ((5, 4), (7, 5), (11, 6)):
+        bad = [n for n in range(residue, top + 1, modulus) if p_table[n] % modulus]
+        assert not bad, (modulus, bad[:5])
+
+
 def test_brute_force_examples():
     assert brute_force_p(0) == 1
     assert brute_force_p(5) == 7
