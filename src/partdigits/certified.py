@@ -124,15 +124,9 @@ def membership_half_open(x, lo, hi) -> bool | None:
     return None
 
 
-def frac_interval(x):
-    """Enclosure of the fractional part of x, or None if x may straddle an integer.
-
-    Exact: both endpoints are shifted by the same integer.
-    """
+def shift_down(x, n: int):
+    """x - n for an integer n, exact: both endpoints are shifted by n."""
     lo, hi = as_interval(x)._mpi_
-    n = to_int(lo, round_floor)
-    if n != to_int(hi, round_floor):
-        return None
     shift = from_int(n)
     return iv.make_mpf((mpf_sub(lo, shift, 0), mpf_sub(hi, shift, 0)))
 

@@ -27,16 +27,16 @@ from .certified import (
     as_interval,
     ceil_sup,
     floor_inf,
-    frac_interval,
     inf,
     interval_context,
     membership_half_open,
+    shift_down,
     sup,
 )
 
 
 class UndecidableMembershipError(RuntimeError):
-    """Certified radius straddles a window endpoint; no decision possible."""
+    """An enclosure straddles a window endpoint or an integer; no decision possible."""
 
     def __init__(self, m: int, message: str):
         super().__init__(message)
@@ -113,23 +113,24 @@ def compute_bounds(
     return FrameworkBounds(L1=l1, L2=l2, L3=l3, L4=l4, D=big_d, bound=bound)
 
 
-def find_m_a_delta(g, K: int, a, delta, scan_limit: int, precision: int = DEFAULT_PRECISION):
+def find_m_a_delta(g, K: int, a, delta, scan_limit: int):
     """Smallest m in [K, scan_limit] with {g(m)} in [a, a + delta), or None.
 
-    g maps an integer to a certified enclosure of a real, at a precision g
-    chooses; `precision` rounds only inexact inputs (a, delta, or a float
-    or Fraction from g) and the window arithmetic.  Every membership
-    test must be decidable at the enclosure widths g provides; a straddled
-    window endpoint raises UndecidableMembershipError (there is no exact
-    fallback here, because g is opaque).
+    g maps an integer to a certified enclosure x of a real, at a precision
+    g chooses; inexact inputs (a, delta, or a float or Fraction from g) and
+    the window arithmetic round at DEFAULT_PRECISION.  With k = floor(inf x),
+    {g(m)} lies in x - k or, where x reaches past k + 1, in x - k - 1: both
+    exact shifts are tested against the window, and an m that neither
+    decides raises UndecidableMembershipError (g is opaque, so there is no
+    exact fallback).
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     if scan_limit < K:
         raise ValueError(f"scan_limit {scan_limit} is below K = {K}")
-    ctx = interval_context(precision)
-    lo = ctx.convert(as_interval(a, precision))
-    d = ctx.convert(as_interval(delta, precision))
+    ctx = interval_context(DEFAULT_PRECISION)
+    lo = ctx.convert(as_interval(a))
+    d = ctx.convert(as_interval(delta))
     hi = lo + d
     # Reject only certain precondition violations; the enclosure of
     # a + delta may overshoot 1 by rounding even when the true sum is 1
@@ -137,28 +138,16 @@ def find_m_a_delta(g, K: int, a, delta, scan_limit: int, precision: int = DEFAUL
     if sup(d) <= 0 or sup(lo) < 0 or inf(hi) > 1:
         raise ValueError("need 0 <= a and a + delta <= 1 with delta > 0")
     for m in range(K, scan_limit + 1):
-        x = as_interval(g(m), precision)
-        fr = frac_interval(x)
-        if fr is None:
-            # x may straddle an integer: true fractional part lies in
-            # [u, 1) or [0, v].  Still decidable when the window avoids
-            # both pieces; otherwise give up.
-            piece = ctx.convert(x) - floor_inf(x)
-            v = piece - 1
-            if sup(hi) <= inf(piece) and inf(lo) > sup(v):
-                continue
-            raise UndecidableMembershipError(
-                m,
-                f"value at m = {m} straddles an integer at the working "
-                f"precision; supply tighter enclosures from g",
-            )
-        decision = membership_half_open(fr, lo, hi)
-        if decision is True:
+        x = as_interval(g(m))
+        k = floor_inf(x)
+        decisions = {membership_half_open(shift_down(x, j), lo, hi) for j in (k, k + 1)}
+        if True in decisions:
             return m
-        if decision is None:
+        if None in decisions:
             raise UndecidableMembershipError(
                 m,
-                f"membership at m = {m} straddles a window endpoint at "
-                f"the working precision; supply tighter enclosures from g",
+                f"membership at m = {m} is undecided at the working precision: "
+                f"the value straddles a window endpoint or an integer; supply "
+                f"tighter enclosures from g",
             )
     return None

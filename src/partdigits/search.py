@@ -12,10 +12,11 @@ x86 VM).  Every first hit is re-confirmed by `leading_digits` before it
 is reported.
 
 `decide_membership`, the certified fractional-log window test, is not on
-the scan path: on p(48001..50000) in base 10, window "1", it takes 22-27
-us per value against 3.4-5.5 us for exact extraction (2 x 5 rounds of
-2,000 values; CPython 3.11.7, pure-Python mpmath 1.3.0, 2-core Intel
-Xeon x86 VM).  It stays as library API for audits of the certified layer.
+the scan path: on p(48001..50000) in base 10, window "1", it takes 13-19
+us per value against 3.0-3.2 us for exact extraction (the two alternating,
+2 x 5 rounds of 2,000 values; CPython 3.11.7, pure-Python mpmath 1.3.0,
+2-core Intel Xeon x86 VM).  It stays as library API for audits of the
+certified layer.
 """
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .asymptotics import theorem_bound
-from .certified import DEFAULT_PRECISION
 from .digits import (
     DigitString,
     TargetInterval,
@@ -66,15 +66,13 @@ class VerificationReport:
     runtime_seconds: float
 
 
-def decide_membership(
-    value: int, target: TargetInterval, precision: int = DEFAULT_PRECISION
-) -> tuple[bool, bool]:
+def decide_membership(value: int, target: TargetInterval) -> tuple[bool, bool]:
     """Does `value` start with target.f?  Returns (decision, used_exact_fallback).
 
     A value below b^(t-1) has fewer than t digits and is decided exactly:
     a power of b there has its log on the window's endpoint for f = b^(t-1),
     and the log test would count it in.  Otherwise runs the certified
-    fractional-log test at `precision`, and falls back to exact digit
+    fractional-log test at DEFAULT_PRECISION, and falls back to exact digit
     extraction when the enclosure straddles a window endpoint, which
     happens when value is within rounding of f*b^z or (f+1)*b^z.  A value
     at an endpoint itself straddles it at every precision, so the test is
@@ -83,7 +81,7 @@ def decide_membership(
     f = target.f
     if value < f.base ** (f.t - 1):
         return False, True
-    decision = target.contains(frac_log(value, f.base, precision=precision))
+    decision = target.contains(frac_log(value, f.base))
     if decision is not None:
         return decision, False
     return leading_digits(value, f.base, f.t) == f, True
@@ -204,12 +202,25 @@ def verify_theorem(
 
     Equivalent to running find_min_n per f over one shared table, done as a
     single exact scan, up to theorem_bound(kind, base, t), that stops once
-    every digit string has been seen.  No precision enters it.
+    every digit string has been seen.  No precision enters it.  Each digit
+    string is charged at least the size of its DigitString and SearchResult,
+    so a t the memory budget can never hold raises ResourceLimitError before
+    any string or entry is built.
     """
+    import sys
+
     kind = SequenceKind(kind)
     started = time.monotonic()
     bound = theorem_bound(kind, base, t)
     table = _table_for(kind, table)
+    f = DigitString(base, t, base ** (t - 1))
+    count = base**t - f.value
+    each = sys.getsizeof(f) + sys.getsizeof(SearchResult(f, kind, None, None, METHOD_EXACT, 0, False))
+    if (need := count * each) > table.memory_budget:
+        raise ResourceLimitError(
+            f"verifying {count} digit strings needs at least {need} bytes of per-string "
+            f"state, over the memory budget of {table.memory_budget} bytes"
+        )
     strings = all_digit_strings(base, t)
     first_hit: dict[int, int] = {}
     for n0, heads in scan_runs(table, base, t, 0, bound):

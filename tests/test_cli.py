@@ -545,6 +545,26 @@ def test_a_census_past_what_the_budget_can_hold_is_refused_up_front(capsys, monk
     assert f"a census to n = 100000000 needs at least {need} bytes" in err
 
 
+@pytest.mark.parametrize("base, t, strings", [(10, 8, 9 * 10**7), (36, 5, 36**5 - 36**4)])
+def test_a_verify_past_what_the_budget_can_hold_is_refused_up_front(
+    capsys, monkeypatch, base, t, strings
+):
+    # at 112 bytes of DigitString and SearchResult per string these need
+    # 10.1 and 6.6 GB, over the default 4 GiB budget, so they are refused
+    # before any string or table entry is built
+    def build(*args):
+        raise AssertionError("the refused verify built digit strings or entries")
+
+    monkeypatch.delenv(ENV_CACHE_DIR, raising=False)
+    monkeypatch.setattr(partdigits.search, "all_digit_strings", build)
+    monkeypatch.setattr(SequenceTable, "extend", build)
+    started = time.perf_counter()
+    code, out, err = _run(capsys, "verify", "--kind", "p", "--base", str(base), "--t", str(t))
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert f"verifying {strings} digit strings needs at least" in err
+
+
 SELFTEST_NAMES = (
     "partition-recurrence-vs-enumeration",
     "plane-recurrence-vs-enumeration",

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import random
 
+import mpmath
 import pytest
 from mpmath import iv, mp
 from mpmath.libmp import mpf_add
@@ -282,14 +283,20 @@ def test_as_interval_takes_a_pair():
         assert (inf(x), sup(x)) == (1, 2)
 
 
+def _leading_window(value, base, precision):
+    """(head, rem, w, z): value = head*b^z + rem with head of w digits, the
+    leading window of 3/4 of `precision` that log_value_interval reads."""
+    d = digit_count(value, base)
+    w = min(d, max(2, math.ceil(precision * 3 / 4 / math.log2(base))))
+    head, rem = divmod(value, base ** (d - w))
+    return head, rem, w, d - w
+
+
 def _two_log_interval(value, base, precision):
     """Oracle: the enclosure as computed with two logarithms, log_b(head)
     and log_b(head + 1), over the same leading window."""
     ctx = interval_context(precision)
-    d = digit_count(value, base)
-    w = min(d, max(2, math.ceil(precision * 3 / 4 / math.log2(base))))
-    z = d - w
-    head, rem = divmod(value, base**z)
+    head, rem, w, z = _leading_window(value, base, precision)
     top = base**w
     lb = ctx.log(base)
     lo = ctx.mpf(w - 1) if head * base == top else ctx.log(head) / lb
@@ -334,5 +341,12 @@ def test_log_value_interval_against_two_log_oracle(base, precision):
             assert inf(x) <= inf(ref) and sup(ref) <= sup(x), value
         assert inf(x) <= sup(oracle) and inf(oracle) <= sup(x), value
         assert sup(x) - inf(x) <= 2 * (sup(oracle) - inf(oracle)), value
+        head, rem, _, _ = _leading_window(value, base, precision)
+        if rem == 0:
+            # no 1/(head ln b) step: the width is one ulp of ln(head) at
+            # `precision` bits over ln b, and the guard bits keep the
+            # kernel's own roundings below 2^-16 of that
+            ulp = mp.mpf(2) ** (mpmath.frexp(sup(wide.log(head)))[1] - precision)
+            assert sup(x) - inf(x) <= (1 + 2**-16) * ulp / sup(wide.log(base)), value
         fr = frac_log(value, base, precision)
         assert 0 <= inf(fr) and sup(fr) <= 1, value

@@ -243,6 +243,19 @@ def test_find_m_integer_straddle():
     assert find_m_a_delta(g, 1, Fraction(3, 10), Fraction(3, 10), 5) is None
     with pytest.raises(UndecidableMembershipError):
         find_m_a_delta(g, 1, 0, Fraction(1, 2), 5)
+    # wider than one integer: some fractional part lies in every window
+    wide = lambda m: iv.mpf([m - 0.5, m + 0.75])
+    with pytest.raises(UndecidableMembershipError):
+        find_m_a_delta(wide, 1, Fraction(3, 10), Fraction(3, 10), 5)
+    # ending exactly on an integer: fractional part 0 is possible, so a
+    # window from 0 is undecided and a window clear of 0 is missed
+    ends = lambda m: iv.mpf([m - 0.5, m])
+    with pytest.raises(UndecidableMembershipError):
+        find_m_a_delta(ends, 1, 0, Fraction(1, 4), 5)
+    assert find_m_a_delta(ends, 1, Fraction(1, 10), Fraction(3, 20), 5) is None
+    # starting exactly on an integer: decided, fractional part in [0, 1/4]
+    starts = lambda m: iv.mpf([m, m + 0.25])
+    assert find_m_a_delta(starts, 2, 0, Fraction(1, 2), 5) == 2
 
 
 def test_find_m_against_search_oracle(p_table):
