@@ -48,6 +48,14 @@ def _grid():
     # the largest t * bitlen(b) on the grid, at 1,174 and 1,264 bits
     for kind, t in (("p", "37"), ("pl", "40")):
         yield ("bound", "--kind", kind, "--base", "36", "--t", t)
+    # given digit strings past t = 2, where the actual window's width needs
+    # the horizon precision too
+    for kind, base, digits in (("pl", "10", "3141592653589793238462643383"),
+                               ("p", "36", "zyxwvutsrqponmlkjihgfedcba9876543210z"),
+                               ("p", "3", "12021012210120102201121"),
+                               ("pl", "16", "800000000000000000000000000000")):
+        yield ("bound", "--kind", kind, "--base", base, "--t", str(len(digits)),
+               "--digits", digits)
     yield ("search", "--kind", "p", "--base", "10", "--digits", "9", "--limit", "10")
     yield ("search", "--kind", "p", "--base", "10", "--digits", "07")
     yield ("census", "--kind", "p", "--base", "10", "--t", "1", "--limit", "0")
