@@ -15,10 +15,10 @@ theta is the exact fraction THETA, which theorem_bound reads too.  An
 estimate is derived from them: its midpoint is the model's main term and
 its envelope c4*n^(-theta), both certified.  The constants compute on
 interval_context(P), an estimate on `certified`'s fixed-point kernel at
-S = P + GUARD_BITS: c1..c4 bracketed once per (kind, b, P), n^theta from
-exact integer roots of n^p * 2^(qS), ln n from one mpf_log (ln_fixed),
-and the rest integer multiply, shift and floor division.  No result
-depends on mpmath's global precision.
+its one scale S = SCALE: c1..c4 at P = 192, bracketed once per (kind, b),
+n^theta from exact integer roots of n^p * 2^(qS), ln n from one mpf_log
+(ln_fixed), and the rest integer multiply, shift and floor division.  No
+result depends on mpmath's global precision.
 
 c4 and K are stated, not derived: nothing here proves the envelope.  For
 PL, K = 2829 is the first n where 200/n^(2/3) falls below one nat.  The
@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from mpmath.libmp import mpf_abs, mpf_le, mpf_sub
 
-from .certified import DEFAULT_PRECISION, GUARD_BITS, as_interval, ceil_sup, from_fixed, inf
+from .certified import DEFAULT_PRECISION, SCALE, as_interval, ceil_sup, from_fixed, inf
 from .certified import interval_context, ln_fixed, sup, to_fixed
 from .digits import check_digit_domain
 from .engines import SequenceKind
@@ -82,7 +82,6 @@ class Constants:
     zeta3: object
     zeta_prime_minus_one: object
     pl_prefactor: object
-    precision: int
 
 
 @functools.cache
@@ -108,7 +107,7 @@ def eval_constants(precision: int = DEFAULT_PRECISION) -> Constants:
         / ctx.sqrt(3 * ctx.pi)
     )
     zeta3, zp, b = map(as_interval, (zeta3, zp, b))
-    return Constants(zeta3=zeta3, zeta_prime_minus_one=zp, pl_prefactor=b, precision=precision)
+    return Constants(zeta3=zeta3, zeta_prime_minus_one=zp, pl_prefactor=b)
 
 
 @functools.cache
@@ -212,22 +211,22 @@ def _iroot_bracket(m: int, q: int) -> tuple[int, int]:
 
 
 @functools.cache
-def _fixed_params(kind: SequenceKind, base: int, prec: int):
+def _fixed_params(kind: SequenceKind, base: int):
     """K, then the integer brackets of c1..c4 at the kernel's scale, from _instantiate."""
-    params = _instantiate(kind, base, prec)
+    params = _instantiate(kind, base, DEFAULT_PRECISION)
     cs = (params.c1, params.c2, params.c3, params.c4)
-    return params.K, *(end for c in cs for end in to_fixed(c, prec + GUARD_BITS))
+    return params.K, *(end for c in cs for end in to_fixed(c, SCALE))
 
 
-def _estimate(kind: SequenceKind, n: int, base: int, prec: int = DEFAULT_PRECISION) -> LogEstimate:
-    K, c1_lo, c1_hi, c2_lo, c2_hi, c3_lo, c3_hi, c4_lo, c4_hi = _fixed_params(kind, base, prec)
+def _estimate(kind: SequenceKind, n: int, base: int) -> LogEstimate:
+    K, c1_lo, c1_hi, c2_lo, c2_hi, c3_lo, c3_hi, c4_lo, c4_hi = _fixed_params(kind, base)
     if n < K:
         raise ValueError(f"estimate valid for n >= {K}, got {n}")
-    s = prec + GUARD_BITS
+    s = SCALE
     p, q = THETA[kind].numerator, THETA[kind].denominator
     # n^theta * 2^S lies between the integer q-th roots of n^p * 2^(qS)
     lo, hi = _iroot_bracket(n**p << (q * s), q)
-    ln_lo, ln_hi = ln_fixed(n, prec)
+    ln_lo, ln_hi = ln_fixed(n, DEFAULT_PRECISION)
     # c1 > 0 > c2: each end of c1*n^theta + c2*ln n pairs c2's end with ln n's other end
     mid_lo = (c1_lo * lo + c2_lo * ln_hi >> s) + c3_lo
     mid_hi = -(-(c1_hi * hi + c2_hi * ln_lo) >> s) + c3_hi
@@ -235,11 +234,11 @@ def _estimate(kind: SequenceKind, n: int, base: int, prec: int = DEFAULT_PRECISI
     return LogEstimate(n, base, from_fixed(mid_lo, mid_hi, s), envelope, valid_from=K)
 
 
-def log_p_estimate(n: int, base: int, precision: int = DEFAULT_PRECISION) -> LogEstimate:
+def log_p_estimate(n: int, base: int) -> LogEstimate:
     """Midpoint and envelope for log_b p(n), valid for n >= 4."""
-    return _estimate(SequenceKind.PARTITION, n, base, precision)
+    return _estimate(SequenceKind.PARTITION, n, base)
 
 
-def log_pl_estimate(n: int, base: int, precision: int = DEFAULT_PRECISION) -> LogEstimate:
+def log_pl_estimate(n: int, base: int) -> LogEstimate:
     """Midpoint and envelope for log_b PL(n), valid for n >= 2829."""
-    return _estimate(SequenceKind.PLANE_PARTITION, n, base, precision)
+    return _estimate(SequenceKind.PLANE_PARTITION, n, base)

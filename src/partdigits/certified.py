@@ -2,12 +2,13 @@
 
 Every quantity that feeds a comparison is an ``mpmath.iv`` interval with
 outward rounding, so a True/False answer from the helpers here is a proof
-at the precision the caller passed; the third answer is "undecided".
+at the precision it was computed at; the third answer is "undecided".
 Each certified layer computes on `interval_context(precision)`, whose
 values round at that precision whatever mpmath's global precision is, or,
 per n, on the fixed-point kernel: integer brackets lo <= x 2^S <= hi at
-S = precision + GUARD_BITS, rounded outward, the guard bits keeping its
-roundings far below 2^-precision; `from_fixed` hands them on as iv.mpf.
+its one scale S = SCALE = DEFAULT_PRECISION + GUARD_BITS = 224 bits,
+rounded outward, the guard bits keeping its roundings far below 2^-192;
+`from_fixed` hands them on as iv.mpf.
 """
 from __future__ import annotations
 
@@ -20,8 +21,9 @@ from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import from_int, from_man_exp, mpf_ge, mpf_log, mpf_lt, mpf_shift, mpf_sub, to_int
 from mpmath.libmp import round_ceiling, round_floor
 
-DEFAULT_PRECISION = 192  # bits: the default of the ops that take a precision
+DEFAULT_PRECISION = 192  # bits: the per-n kernel's, and the default of the ops that take one
 GUARD_BITS = 32  # keep the kernel's roundings far below 2^-precision
+SCALE = DEFAULT_PRECISION + GUARD_BITS  # the per-n kernel's fixed-point scale
 
 IntervalLike = object  # mpi, int, float, str, Fraction, or (lo, hi) pair
 
@@ -90,13 +92,11 @@ def ln_fixed(x: int, precision: int) -> tuple[int, int]:
 
 
 @functools.cache
-def ln_base_reciprocal(base: int, precision: int) -> tuple[int, int]:
-    """Bracket of 2^S / ln(base) at S = precision + GUARD_BITS, divided outward
-    from ln_fixed at S bits (relative width about 2^-S); cached."""
-    _check_precision(precision)
-    scale = precision + GUARD_BITS
-    ln_lo, ln_hi = ln_fixed(base, scale)  # at scale S + GUARD_BITS
-    top = 1 << (2 * scale + GUARD_BITS)
+def ln_base_reciprocal(base: int) -> tuple[int, int]:
+    """Bracket of 2^SCALE / ln(base), divided outward from ln_fixed at SCALE
+    bits (relative width about 2^-SCALE); cached per base."""
+    ln_lo, ln_hi = ln_fixed(base, SCALE)  # at scale SCALE + GUARD_BITS
+    top = 1 << (2 * SCALE + GUARD_BITS)
     return top // ln_hi, -(-top // ln_lo)
 
 

@@ -314,11 +314,11 @@ def _cmd_bound(args) -> int:
     else:
         f = DigitString(b, t, b**t - 1)  # narrowest window
     params = instantiate_p(b, prec) if kind is SequenceKind.PARTITION else instantiate_pl(b, prec)
+    ctx = interval_context(prec)
+    delta = ctx.log(1 + ctx.mpf(1) / f.value) / ctx.log(b)  # log_b(1 + 1/f), the window's width
     conventions = {
         "nominal_delta": _bound_breakdown(params, Fraction(1, b**t), prec),
-        "actual_delta": {
-            "f": f.text(), **_bound_breakdown(params, target_interval(f, prec).delta, prec)
-        },
+        "actual_delta": {"f": f.text(), **_bound_breakdown(params, delta, prec)},
     }
     payload = {
         "kind": kind.value,

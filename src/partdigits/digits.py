@@ -8,7 +8,8 @@ lies in the half-open window
 
 Everything here is exact integer arithmetic plus certified intervals; no
 value is ever converted to a decimal string (big-int str() is both slow
-and capped by CPython's digit limit).
+and capped by CPython's digit limit).  The log enclosures take no
+precision: they run on `certified`'s fixed-point kernel at its one scale.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from mpmath import iv
 from mpmath.libmp import mpf_sub
 
-from .certified import DEFAULT_PRECISION, GUARD_BITS, from_fixed, ln_base_reciprocal, ln_fixed
+from .certified import DEFAULT_PRECISION, SCALE, from_fixed, ln_base_reciprocal, ln_fixed
 from .certified import membership_half_open
 
 _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -132,23 +133,23 @@ def leading_digits(n: int, base: int, t: int) -> DigitString:
     return DigitString(base, t, w)
 
 
-def _log_int(value: int, base: int, precision: int, less: int | None):
-    """Enclosure of log_b(value) - less for an integer value >= 1, at `precision` bits.
+def _log_int(value: int, base: int, less: int | None):
+    """Enclosure of log_b(value) - less for an integer value >= 1, at 192 bits.
 
     less = None subtracts the digit count of value minus one, which leaves
     the fractional part.  Reads a leading window head = value // b^z of 3/4
-    of `precision`, w digits, so value lies in [head*b^z, (head+1)*b^z).
-    On the fixed-point kernel at S = precision + GUARD_BITS, every step
-    rounded outward: ln(head) from one mpf_log (ln_fixed) times the cached
-    bracket of 2^S / ln b, and on the upper end one ceiling division adds
+    of DEFAULT_PRECISION, w digits, so value lies in [head*b^z, (head+1)*b^z).
+    On the fixed-point kernel at S = SCALE, every step rounded outward:
+    ln(head) from one mpf_log (ln_fixed) times the cached bracket of
+    2^S / ln b, and on the upper end one ceiling division adds
     1/(head ln b) >= log_b(head + 1) - log_b(head), capped at w because
     head + 1 <= b^w; the shift z - less is exact.  Endpoints at powers of b
     are exact, so fractional parts never spill outside [0, 1].
     """
     d = digit_count(value, base)
-    r_lo, r_hi = ln_base_reciprocal(base, precision)  # refuses a precision below 8 bits
-    s = precision + GUARD_BITS
-    w = min(d, max(2, math.ceil(precision * 3 / 4 / math.log2(base))))
+    r_lo, r_hi = ln_base_reciprocal(base)
+    s = SCALE
+    w = min(d, max(2, math.ceil(DEFAULT_PRECISION * 3 / 4 / math.log2(base))))
     z = d - w
     if base == 2:
         head, rem = value >> z, value & ((1 << z) - 1)
@@ -157,7 +158,7 @@ def _log_int(value: int, base: int, precision: int, less: int | None):
     if head * base == base**w:
         lo = hi = (w - 1) << s
     else:
-        ln_lo, ln_hi = ln_fixed(head, precision)
+        ln_lo, ln_hi = ln_fixed(head, DEFAULT_PRECISION)
         lo, hi = ln_lo * r_lo >> s, -(-ln_hi * r_hi >> s)
     if rem:
         hi = min(hi - (-r_hi // head), w << s)
@@ -165,19 +166,19 @@ def _log_int(value: int, base: int, precision: int, less: int | None):
     return from_fixed(lo + shift, hi + shift, s)
 
 
-def log_value_interval(value: int, base: int, precision: int = DEFAULT_PRECISION):
+def log_value_interval(value: int, base: int):
     """Certified enclosure of log_base(value), value >= 1 exact."""
-    return _log_int(value, base, precision, 0)
+    return _log_int(value, base, 0)
 
 
-def frac_log(n: int, base: int, precision: int = DEFAULT_PRECISION):
+def frac_log(n: int, base: int):
     """Certified enclosure of the fractional part of log_base(n), n >= 1.
 
     The enclosure never straddles an integer: it is the log enclosure
     shifted down by the exact digit count minus one, and exact powers of
     the base return the zero-width interval [0, 0].
     """
-    return _log_int(n, base, precision, None)
+    return _log_int(n, base, None)
 
 
 @dataclass(eq=False)
@@ -204,9 +205,9 @@ class TargetInterval:
         return membership_half_open(x, self.lo, self.hi)
 
 
-def target_interval(f: DigitString, precision: int = DEFAULT_PRECISION) -> TargetInterval:
+def target_interval(f: DigitString) -> TargetInterval:
     """Fractional-part window for digit string f, with certified endpoints."""
     shift = f.t - 1
-    lo = _log_int(f.value, f.base, precision, shift)
-    hi = _log_int(f.value + 1, f.base, precision, shift)
+    lo = _log_int(f.value, f.base, shift)
+    hi = _log_int(f.value + 1, f.base, shift)
     return TargetInterval(f=f, lo=lo, hi=hi)

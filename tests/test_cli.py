@@ -177,7 +177,9 @@ def test_bound_ceilings_equal_those_at_far_higher_precision(capsys):
             assert code == EXIT_OK, (argv, err)
             conventions = json.loads(out)["conventions"]
             f = DigitString.parse(conventions["actual_delta"]["f"], base)
-            actual = compute_bounds(params, target_interval(f, bits).delta, bits).bound
+            ctx = certified.interval_context(bits)  # the window's width from its two endpoint logs
+            width = (ctx.log(f.value + 1) - ctx.log(f.value)) / ctx.log(base)
+            actual = compute_bounds(params, width, bits).bound
             assert conventions["nominal_delta"]["bound"] == nominal, argv
             assert conventions["actual_delta"]["bound"] == actual, (argv, digits)
     # p b10 t28 at f = 10^28 - 1: the bound is ceil(2 (L2 + 1)), and
@@ -709,9 +711,9 @@ def test_selftest_checks_the_sieve_the_pl_engine_uses(monkeypatch):
     assert checks["plane-recurrence-vs-enumeration"] is True
 
 
-# the functions memoised per precision, cleared so that each run below
-# computes its answers afresh
-_PRECISION_CACHES = (
+# the certified layers' memoised functions, cleared so that each run
+# below computes its answers afresh
+_CERTIFIED_CACHES = (
     certified.interval_context,
     certified.ln_base_reciprocal,
     asymptotics.eval_constants,
@@ -722,21 +724,22 @@ _PRECISION_CACHES = (
 
 
 def _certified_answers(capsys):
-    """Exact endpoints and outputs of every certified layer, at 64, 192 and 384 bits."""
+    """Exact endpoints and outputs of every certified layer: the horizon layer at
+    64, 192 and 384 bits, the per-n layer at its one scale."""
     answers = []
+    window = target_interval(DigitString.parse("99", 10))
     for precision in (64, 192, 384):
-        window = target_interval(DigitString.parse("99", 10), precision)
         for instantiate in (instantiate_p, instantiate_pl):
             params = instantiate(10, precision)
             for delta in (Fraction(1, 100), window.delta):
                 bounds = compute_bounds(params, delta, precision)
                 answers.append((bounds.bound, *(getattr(bounds, name)._mpi_
                                                 for name in ("L1", "L2", "L3", "L4", "D"))))
-        for estimate, n in ((log_p_estimate, 1234), (log_pl_estimate, 5000)):
-            est = estimate(n, 10, precision)
-            answers.append((est.midpoint._mpi_, est.envelope._mpi_))
-        for value, base in ((7, 10), (10**40 + 1, 10), (3**500, 2), (2**300 - 1, 36)):
-            answers += [log(value, base, precision)._mpi_ for log in (log_value_interval, frac_log)]
+    for estimate, n in ((log_p_estimate, 1234), (log_pl_estimate, 5000)):
+        est = estimate(n, 10)
+        answers.append((est.midpoint._mpi_, est.envelope._mpi_))
+    for value, base in ((7, 10), (10**40 + 1, 10), (3**500, 2), (2**300 - 1, 36)):
+        answers += [log(value, base)._mpi_ for log in (log_value_interval, frac_log)]
     # closed forms evaluated at 192, 624 and 864 bits
     answers += [theorem_bound(kind, 10, t) for kind, t in (("p", 2), ("p", 28), ("pl", 40))]
     params = FrameworkParams(c1=Fraction(3, 2), c2=Fraction(-1, 3), c3=0, c4=Fraction(1, 7),
@@ -752,17 +755,17 @@ def _certified_answers(capsys):
 
 
 def test_certified_answers_ignore_the_global_precision(capsys, monkeypatch):
-    # each certified layer rounds at the precision it is passed, so the
-    # answers under a global 20 bits are those under mpmath's default
-    for cache in _PRECISION_CACHES:
+    # each certified layer rounds at its own precision, so the answers
+    # under a global 20 bits are those under mpmath's default
+    for cache in _CERTIFIED_CACHES:
         cache.cache_clear()
     at_default = _certified_answers(capsys)
     monkeypatch.setattr(iv, "prec", 20)
     monkeypatch.setattr(mp, "prec", 20)
-    for cache in _PRECISION_CACHES:
+    for cache in _CERTIFIED_CACHES:
         cache.cache_clear()
     at_20_bits = _certified_answers(capsys)
-    for cache in _PRECISION_CACHES:  # keep nothing computed under 20 bits
+    for cache in _CERTIFIED_CACHES:  # keep nothing computed under 20 bits
         cache.cache_clear()
     assert at_20_bits == at_default
 
@@ -787,7 +790,8 @@ def test_module_entry_point():
 
 
 def test_import_does_not_load_the_cache_modules():
-    # the cache imports hashlib and array when it saves or loads, not at import time
+    # the cache imports hashlib when it saves or loads, not at import time;
+    # no module imports array
     done = subprocess.run(
         [sys.executable, "-c",
          "import sys, partdigits; assert not {'hashlib', 'array'} & set(sys.modules)"],

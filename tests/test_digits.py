@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -12,14 +13,16 @@ from mpmath.libmp import mpf_add
 from partdigits import (
     DigitString,
     all_digit_strings,
+    compute_bounds,
     digit_count,
     frac_log,
+    instantiate_p,
     leading_digits,
     log_p_estimate,
     log_value_interval,
     target_interval,
 )
-from partdigits.certified import as_interval, inf, interval_context, sup
+from partdigits.certified import DEFAULT_PRECISION, as_interval, inf, interval_context, sup
 
 
 def test_digit_string_validation():
@@ -230,14 +233,10 @@ def test_membership_round_trip_small_grid():
 
 
 def test_window_width_parameter():
-    # the leading window is 3/4 of the precision in bits, so an enclosure
-    # at P bits is about 2^(-3P/4) wide and lies inside the one at fewer bits
-    precisions = (64, 192, 384)
-    wide, mid, tight = (frac_log(7**333, 10, precision=p) for p in precisions)
-    assert sup(wide) - inf(wide) > sup(mid) - inf(mid) > sup(tight) - inf(tight)
-    assert inf(wide) <= inf(mid) <= inf(tight) and sup(tight) <= sup(mid) <= sup(wide)
-    for p, x in zip(precisions, (wide, mid, tight)):
-        assert sup(x) - inf(x) < 2.0 ** (8 - 3 * p // 4)
+    # the leading window is 3/4 of the kernel's 192 bits, so an enclosure
+    # is about 2^-144 wide
+    x = frac_log(7**333, 10)
+    assert sup(x) - inf(x) < 2.0 ** (8 - 3 * DEFAULT_PRECISION // 4)
 
 
 def _certified_answers():
@@ -267,14 +266,16 @@ def test_certified_logs_ignore_the_working_precision(monkeypatch):
 
 
 def test_log_enclosures_refuse_a_precision_below_8_bits():
-    # 0 is a precision like any other: it is refused, not read as the default
+    # the per-n logs take no precision; the layers that do compute on
+    # interval_context, which refuses one below 8 bits.  0 is a precision
+    # like any other: it is refused, not read as the default
     for precision in (0, 7):
         with pytest.raises(ValueError, match="at least 8 bits"):
-            log_value_interval(5, 10, precision)
+            instantiate_p(10, precision)
         with pytest.raises(ValueError, match="at least 8 bits"):
-            frac_log(5, 10, precision)
+            compute_bounds(instantiate_p(10), Fraction(1, 10), precision)
         with pytest.raises(ValueError, match="at least 8 bits"):
-            target_interval(DigitString.parse("5", 10), precision)
+            as_interval(Fraction(1, 3), precision)
 
 
 def test_as_interval_takes_a_pair():
@@ -327,11 +328,11 @@ def _log_cases(base, precision, rng):
 
 
 @pytest.mark.parametrize("base", [2, 3, 10, 16, 36])
-@pytest.mark.parametrize("precision", [64, 192])
+@pytest.mark.parametrize("precision", [DEFAULT_PRECISION])  # the kernel's, the one in use
 def test_log_value_interval_against_two_log_oracle(base, precision):
     rng = random.Random(1000 * base + precision)
     for value in _log_cases(base, precision, rng):
-        x = log_value_interval(value, base, precision)
+        x = log_value_interval(value, base)
         oracle = _two_log_interval(value, base, precision)
         wide = interval_context(2 * precision)
         ref = wide.log(value) / wide.log(base)
@@ -348,5 +349,5 @@ def test_log_value_interval_against_two_log_oracle(base, precision):
             # kernel's own roundings below 2^-16 of that
             ulp = mp.mpf(2) ** (mpmath.frexp(sup(wide.log(head)))[1] - precision)
             assert sup(x) - inf(x) <= (1 + 2**-16) * ulp / sup(wide.log(base)), value
-        fr = frac_log(value, base, precision)
+        fr = frac_log(value, base)
         assert 0 <= inf(fr) and sup(fr) <= 1, value

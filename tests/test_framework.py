@@ -86,12 +86,13 @@ def test_compute_bounds_delta_validation():
 
 
 def test_compute_bounds_names_a_delta_enclosure_too_wide_to_place():
-    # at 64 bits the narrowest p b10 t28 window, 4.3e-29 wide, is narrower
-    # than the enclosures of its endpoints, so its delta enclosure reaches
-    # below 0 though delta is inside (0, 1]
-    window = target_interval(DigitString(10, 28, 10**28 - 1), 64)
-    with pytest.raises(ValueError, match="delta's enclosure is too wide at 64 bits"):
-        compute_bounds(instantiate_p(10, 64), window.delta, 64)
+    # the per-n logs read a 44-digit leading window in base 10, so the
+    # narrowest p b10 t46 window, 4.3e-47 wide, is narrower than the
+    # enclosure of its lower end, about 1/(10^44 ln 10) = 4.3e-45 wide; its
+    # delta enclosure reaches below 0 though delta is inside (0, 1]
+    window = target_interval(DigitString(10, 46, 10**46 - 1))
+    with pytest.raises(ValueError, match="delta's enclosure is too wide at 192 bits"):
+        compute_bounds(instantiate_p(10), window.delta)
 
 
 def test_scale_relations():
