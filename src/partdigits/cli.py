@@ -396,6 +396,10 @@ def _selftest_checks():
         "partition-recurrence-vs-enumeration",
         all(p_table[n] == brute_force_p(n) for n in range(16)),
     ))
+    # Ramanujan: p(5k+4) = 0 mod 5, p(7k+5) = 0 mod 7, p(11k+6) = 0 mod 11
+    checks.append(("partition-ramanujan-congruences", all(
+        p_table[n] % m == 0 for m, r in ((5, 4), (7, 5), (11, 6)) for n in range(r, 1501, m)
+    )))
 
     pl_table = SequenceTable(SequenceKind.PLANE_PARTITION)
     pl_table.extend(2960)

@@ -569,6 +569,7 @@ def test_a_verify_past_what_the_budget_can_hold_is_refused_up_front(
 
 SELFTEST_NAMES = (
     "partition-recurrence-vs-enumeration",
+    "partition-ramanujan-congruences",
     "plane-recurrence-vs-enumeration",
     "sigma2-vs-divisor-sieve",
     "partition-log-envelope",
@@ -692,7 +693,7 @@ def test_selftest(capsys):
     code, out, _ = _run(capsys, "selftest", "--output", "text")
     assert code == EXIT_OK
     assert "all_pass True" in out
-    assert out.count("PASS") == 8
+    assert out.count("PASS") == 9
 
 
 def test_selftest_checks_the_sieve_the_pl_engine_uses(monkeypatch):
@@ -709,6 +710,21 @@ def test_selftest_checks_the_sieve_the_pl_engine_uses(monkeypatch):
     checks = dict(cli._selftest_checks())
     assert checks["sigma2-vs-divisor-sieve"] is False
     assert checks["plane-recurrence-vs-enumeration"] is True
+
+
+def test_selftest_checks_ramanujans_congruences(monkeypatch):
+    # a p table that drops every pentagonal term past offset 1,000 still
+    # matches enumeration below 16; the congruences mod 7 and 11 catch it
+    grow = SequenceTable._grow_pentagonal
+
+    def grow_then_truncate(table, n):
+        grow(table, n)
+        table._pent = [(g, sign) for g, sign in table._pent if g <= 1000]
+
+    monkeypatch.setattr(SequenceTable, "_grow_pentagonal", grow_then_truncate)
+    checks = dict(cli._selftest_checks())
+    assert checks["partition-ramanujan-congruences"] is False
+    assert [name for name, ok in checks.items() if not ok] == ["partition-ramanujan-congruences"]
 
 
 # the certified layers' memoised functions, cleared so that each run
