@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import re
@@ -189,6 +190,34 @@ def test_bound_ceilings_equal_those_at_far_higher_precision(capsys):
         l2 = 144 / mpmath.log1p(mpmath.mpf(1) / (10**28 - 1)) ** 2
         expected = int(mpmath.ceil(2 * (l2 + 1)))
     assert json.loads(out)["conventions"]["actual_delta"]["bound"] == expected
+
+
+def test_bound_window_width_agrees_with_target_interval(capsys, monkeypatch):
+    # where the per-n kernel resolves the window (t lg b <= 64), bound's
+    # width log_b(1 + 1/f) at the horizon precision prints as target_interval's
+    # endpoint difference at 192 bits, and the two enclosures overlap
+    widths = []
+    compute = cli.compute_bounds
+
+    def record(params, delta, precision):
+        widths.append(delta)
+        return compute(params, delta, precision)
+
+    monkeypatch.setattr(cli, "compute_bounds", record)
+    rng = random.Random(20261020)
+    for _ in range(400):
+        kind, base = rng.choice(("p", "pl")), rng.randint(2, 36)
+        t = rng.randint(2 if base == 2 else 1, int(64 / math.log2(base)))
+        f = DigitString(base, t, rng.randrange(base ** (t - 1), base**t))
+        code, out, err = _run(capsys, "bound", "--kind", kind, "--base", str(base),
+                              "--t", str(t), "--digits", f.text())
+        assert code == EXIT_OK, err
+        window = target_interval(f).delta
+        actual = json.loads(out)["conventions"]["actual_delta"]["delta"]
+        assert actual == cli._fmt(window, 192), (kind, base, f.text())
+        width = widths[-1]
+        assert certified.inf(width) <= certified.sup(window), (kind, base, f.text())
+        assert certified.inf(window) <= certified.sup(width), (kind, base, f.text())
 
 
 def test_bound_csv_and_text(capsys):
@@ -803,6 +832,20 @@ def test_module_entry_point():
     assert done.returncode == EXIT_OK, done.stderr
     n_min = json.loads(done.stdout)["n_min"]
     assert isinstance(n_min, int) and n_min == 28
+
+
+def test_readme_library_example_runs_and_shows_its_values():
+    # the Python block under "## Library" in README.md runs as written, and
+    # each line with a "# value" comment evaluates to that value (the text
+    # before any " = " explanation)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(block, scope)
+    shown = [line.split("  # ", 1) for line in block.splitlines() if "  # " in line]
+    assert len(shown) == 5
+    for expression, comment in shown:
+        assert repr(eval(expression, scope)) == comment.split(" = ", 1)[0], expression
 
 
 def test_import_does_not_load_the_cache_modules():
