@@ -328,7 +328,7 @@ def _log_cases(base, precision, rng):
 
 
 @pytest.mark.parametrize("base", [2, 3, 10, 16, 36])
-@pytest.mark.parametrize("precision", [DEFAULT_PRECISION])  # the kernel's, the one in use
+@pytest.mark.parametrize("precision", [DEFAULT_PRECISION])  # the per-n kernel's only precision
 def test_log_value_interval_against_two_log_oracle(base, precision):
     rng = random.Random(1000 * base + precision)
     for value in _log_cases(base, precision, rng):
