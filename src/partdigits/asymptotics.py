@@ -17,8 +17,9 @@ its envelope c4*n^(-theta), both certified.  The constants compute on
 interval_context(P), an estimate on `certified`'s fixed-point kernel at
 its one scale S = SCALE: c1..c4 at P = 192, bracketed once per (kind, b),
 n^theta from exact integer roots of n^p * 2^(qS), ln n from one mpf_log
-(ln_fixed), and the rest integer multiply, shift and floor division.  No
-result depends on mpmath's global precision.
+(ln_fixed), and the rest integer multiply, shift and floor division, in
+7.7-8.8 µs per n; `contains` compares integers only, in 0.6-0.8 µs
+(scripts/time_envelope.py).  No result depends on mpmath's global precision.
 
 c4 and K are stated, not derived: nothing here proves the envelope.  For
 PL, K = 2829 is the first n where 200/n^(2/3) falls below one nat.  The
@@ -33,8 +34,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-from mpmath.libmp import mpf_abs, mpf_le, mpf_sub
 
 from .certified import DEFAULT_PRECISION, SCALE, as_interval, ceil_sup, from_fixed, inf
 from .certified import interval_context, ln_fixed, sup, to_fixed
@@ -171,28 +170,35 @@ def _theorem_bound(kind: SequenceKind, base: int, t: int) -> int:
 
 @dataclass(eq=False)
 class LogEstimate:
-    """The claim |log_b(count(n)) - midpoint| <= envelope, with midpoint and
-    envelope certified enclosures; the claim itself is checked only on the
-    ranges the module docstring names."""
+    """The claim |log_b(count(n)) - midpoint| <= envelope, the two certified
+    enclosures built as iv.mpf on first read from the integer brackets mid and
+    env at 2^-SCALE; the claim is checked only where the module docstring says."""
 
     n: int
     base: int
-    midpoint: object
-    envelope: object
     valid_from: int
+    mid: tuple[int, int]
+    env: tuple[int, int]
+    midpoint = functools.cached_property(lambda self: from_fixed(*self.mid, SCALE))
+    envelope = functools.cached_property(lambda self: from_fixed(*self.env, SCALE))
 
     def contains(self, log_value) -> bool:
         """Certified check that an enclosure of log_b(count(n)) fits the envelope.
 
         True means proven inside; False means not provable at this width
-        (which on exact inputs at sane precision only happens when the
-        envelope is genuinely violated).  The endpoint differences are
-        exact, so no precision plays a part.
+        (on exact inputs, only when the envelope is genuinely violated).
+        |v_lo - mid_hi| and |v_hi - mid_lo| are compared with env_lo by exact
+        integer shifts; an infinite or nan endpoint is never inside.
         """
-        (v_lo, v_hi), (m_lo, m_hi) = as_interval(log_value)._mpi_, self.midpoint._mpi_
-        radius = self.envelope._mpi_[0]
-        below = mpf_le(mpf_abs(mpf_sub(v_lo, m_hi, 0)), radius)
-        return below and mpf_le(mpf_abs(mpf_sub(v_hi, m_lo, 0)), radius)
+        r, (m_lo, m_hi) = self.env[0], self.mid
+        for (sign, man, exp, _), m in zip(as_interval(log_value)._mpi_, (m_hi, m_lo)):
+            if exp and not man:  # mpmath's +-inf and nan
+                return False
+            v, k = -man if sign else man, exp + SCALE
+            # an endpoint finer than 2^-SCALE (k < 0) shifts m and r up instead
+            if not (m - r <= v << k <= m + r if k >= 0 else (m - r) << -k <= v <= (m + r) << -k):
+                return False
+        return True
 
 
 def _iroot_bracket(m: int, q: int) -> tuple[int, int]:
@@ -212,26 +218,24 @@ def _iroot_bracket(m: int, q: int) -> tuple[int, int]:
 
 @functools.cache
 def _fixed_params(kind: SequenceKind, base: int):
-    """K, then the integer brackets of c1..c4 at the kernel's scale, from _instantiate."""
-    params = _instantiate(kind, base, DEFAULT_PRECISION)
+    """K, p and q of theta = p/q, then c1..c4's brackets at the kernel's scale."""
+    params, theta = _instantiate(kind, base, DEFAULT_PRECISION), THETA[kind]
     cs = (params.c1, params.c2, params.c3, params.c4)
-    return params.K, *(end for c in cs for end in to_fixed(c, SCALE))
+    return params.K, theta.numerator, theta.denominator, *(e for c in cs for e in to_fixed(c, SCALE))
 
 
 def _estimate(kind: SequenceKind, n: int, base: int) -> LogEstimate:
-    K, c1_lo, c1_hi, c2_lo, c2_hi, c3_lo, c3_hi, c4_lo, c4_hi = _fixed_params(kind, base)
+    K, p, q, c1_lo, c1_hi, c2_lo, c2_hi, c3_lo, c3_hi, c4_lo, c4_hi = _fixed_params(kind, base)
     if n < K:
         raise ValueError(f"estimate valid for n >= {K}, got {n}")
     s = SCALE
-    p, q = THETA[kind].numerator, THETA[kind].denominator
     # n^theta * 2^S lies between the integer q-th roots of n^p * 2^(qS)
     lo, hi = _iroot_bracket(n**p << (q * s), q)
     ln_lo, ln_hi = ln_fixed(n, DEFAULT_PRECISION)
     # c1 > 0 > c2: each end of c1*n^theta + c2*ln n pairs c2's end with ln n's other end
     mid_lo = (c1_lo * lo + c2_lo * ln_hi >> s) + c3_lo
     mid_hi = -(-(c1_hi * hi + c2_hi * ln_lo) >> s) + c3_hi
-    envelope = from_fixed((c4_lo << s) // hi, -((-c4_hi << s) // lo), s)
-    return LogEstimate(n, base, from_fixed(mid_lo, mid_hi, s), envelope, valid_from=K)
+    return LogEstimate(n, base, K, (mid_lo, mid_hi), ((c4_lo << s) // hi, -((-c4_hi << s) // lo)))
 
 
 def log_p_estimate(n: int, base: int) -> LogEstimate:

@@ -8,7 +8,9 @@ values round at that precision whatever mpmath's global precision is, or,
 per n, on the fixed-point kernel: integer brackets lo <= x 2^S <= hi at
 its one scale S = SCALE = DEFAULT_PRECISION + GUARD_BITS = 224 bits,
 rounded outward, the guard bits keeping its roundings far below 2^-192;
-`from_fixed` hands them on as iv.mpf.
+`from_fixed` hands them on as iv.mpf, writing mpmath 1.3's raw tuples.
+Per n, one mpf_log (ln_fixed, about 4 µs) is half of an estimate or of a
+log_value_interval, 7.4-9.0 µs each (scripts/time_envelope.py, x86 VM).
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import iv, mp
 from mpmath.ctx_iv import MPIntervalContext
-from mpmath.libmp import from_int, from_man_exp, mpf_ge, mpf_log, mpf_lt, mpf_shift, mpf_sub, to_int
+from mpmath.libmp import from_int, fzero, mpf_ge, mpf_log, mpf_lt, mpf_shift, mpf_sub, to_int
 from mpmath.libmp import round_ceiling, round_floor
 
 DEFAULT_PRECISION = 192  # bits: the per-n kernel's, and the default of the ops that take one
@@ -71,9 +73,18 @@ def to_fixed(x, scale: int) -> tuple[int, int]:
     return to_int(mpf_shift(lo, scale), round_floor), to_int(mpf_shift(hi, scale), round_ceiling)
 
 
+def _raw(man: int, exp: int) -> tuple:
+    """mpmath 1.3's normalised raw mpf of man 2^exp: an odd mantissa and its bit count."""
+    if not man:
+        return fzero
+    zeros = (man & -man).bit_length() - 1
+    odd = abs(man) >> zeros
+    return int(man < 0), odd, exp + zeros, odd.bit_length()
+
+
 def from_fixed(lo: int, hi: int, scale: int):
     """The iv.mpf with the exact endpoints lo 2^-scale and hi 2^-scale."""
-    return iv.make_mpf((from_man_exp(lo, -scale), from_man_exp(hi, -scale)))
+    return iv.make_mpf((_raw(lo, -scale), _raw(hi, -scale)))
 
 
 def ln_fixed(x: int, precision: int) -> tuple[int, int]:
@@ -86,18 +97,9 @@ def ln_fixed(x: int, precision: int) -> tuple[int, int]:
     2^(exp + bc - precision), as trailing zeros may be stripped; ln x >= ln 2
     makes both ends exact shifts.
     """
-    _, man, exp, bc = mpf_log(from_int(x), precision, round_floor)
+    _, man, exp, bc = mpf_log(_raw(x, 0), precision, round_floor)
     lo = man << (exp + precision + GUARD_BITS)
     return lo, lo + (1 << (exp + bc + GUARD_BITS))
-
-
-@functools.cache
-def ln_base_reciprocal(base: int) -> tuple[int, int]:
-    """Bracket of 2^SCALE / ln(base), divided outward from ln_fixed at SCALE
-    bits (relative width about 2^-SCALE); cached per base."""
-    ln_lo, ln_hi = ln_fixed(base, SCALE)  # at scale SCALE + GUARD_BITS
-    top = 1 << (2 * SCALE + GUARD_BITS)
-    return top // ln_hi, -(-top // ln_lo)
 
 
 def inf(x) -> mpmath.mpf:

@@ -13,13 +13,14 @@ precision: they run on `certified`'s fixed-point kernel at its one scale.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from mpmath import iv
 from mpmath.libmp import mpf_sub
 
-from .certified import DEFAULT_PRECISION, SCALE, from_fixed, ln_base_reciprocal, ln_fixed
+from .certified import DEFAULT_PRECISION, GUARD_BITS, SCALE, from_fixed, ln_fixed
 from .certified import membership_half_open
 
 _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -96,26 +97,22 @@ def all_digit_strings(base: int, t: int):
     return [DigitString(base, t, v) for v in range(base ** (t - 1), base**t)]
 
 
-def digit_count(n: int, base: int) -> int:
-    """Number of base-b digits of n >= 1 (exact)."""
+def _log_below(n: int, base: int) -> int:
+    """An integer at most floor(log_b n) for n >= 1 and base >= 2, from n's bit
+    length: the 2^-40 taken off the float quotient outweighs its error."""
     if n < 1 or base < 2:
         raise ValueError(f"digit_count requires n >= 1 and base >= 2, got {n}, {base}")
-    if base == 2:
+    return int((n.bit_length() - 1) / math.log2(base) * (1 - 2**-40))
+
+
+def digit_count(n: int, base: int) -> int:
+    """Number of base-b digits of n >= 1 (exact)."""
+    if base == 2 and n >= 1:
         return n.bit_length()
-    # Float estimate of floor(log_b n) from the bit length, then an exact
-    # fixup; the estimate is off by at most a few in pathological cases and
-    # the loops below correct any error.
-    est = max(0, int((n.bit_length() - 1) * 0.6931471805599453 / math.log(base)))
-    p = base**est
-    if p <= n:
-        while True:
-            nxt = p * base
-            if nxt > n:
-                return est + 1
-            p, est = nxt, est + 1
-    while p > n:
-        p //= base
-        est -= 1
+    est = _log_below(n, base)
+    p = base ** (est + 1)
+    while p <= n:
+        p, est = p * base, est + 1
     return est + 1
 
 
@@ -133,29 +130,41 @@ def leading_digits(n: int, base: int, t: int) -> DigitString:
     return DigitString(base, t, w)
 
 
+@functools.cache
+def _window(base: int) -> tuple[int, int, int, int]:
+    """w, the width in digits of 3/4 of DEFAULT_PRECISION bits, b^w, and 2^S / ln b
+    divided outward from ln_fixed at SCALE bits (about 2^-SCALE wide); per base."""
+    ln_lo, ln_hi = ln_fixed(base, SCALE)  # at scale SCALE + GUARD_BITS
+    top = 1 << (2 * SCALE + GUARD_BITS)
+    w = max(2, math.ceil(DEFAULT_PRECISION * 3 / 4 / math.log2(base)))
+    return w, base**w, top // ln_hi, -(-top // ln_lo)
+
+
 def _log_int(value: int, base: int, less: int | None):
     """Enclosure of log_b(value) - less for an integer value >= 1, at 192 bits.
 
     less = None subtracts the digit count of value minus one, which leaves
-    the fractional part.  Reads a leading window head = value // b^z of 3/4
-    of DEFAULT_PRECISION, w digits, so value lies in [head*b^z, (head+1)*b^z).
-    On the fixed-point kernel at S = SCALE, every step rounded outward:
-    ln(head) from one mpf_log (ln_fixed) times the cached bracket of
-    2^S / ln b, and on the upper end one ceiling division adds
-    1/(head ln b) >= log_b(head + 1) - log_b(head), capped at w because
-    head + 1 <= b^w; the shift z - less is exact.  Endpoints at powers of b
-    are exact, so fractional parts never spill outside [0, 1].
+    the fractional part.  Reads a leading window head = value // b^z of w
+    digits (_window), so value lies in [head*b^z, (head+1)*b^z): one power
+    of b at z from _log_below, then exact fixups on the head, give both the
+    head and the digit count z + w.  On the fixed-point kernel at S = SCALE,
+    every step rounded outward: ln(head) from one mpf_log (ln_fixed) times
+    the cached bracket of 2^S / ln b, and on the upper end one ceiling
+    division adds 1/(head ln b) >= log_b(head + 1) - log_b(head), capped at
+    w because head + 1 <= b^w; the shift z - less is exact.  Endpoints at
+    powers of b are exact, so fractional parts never spill outside [0, 1].
     """
-    d = digit_count(value, base)
-    r_lo, r_hi = ln_base_reciprocal(base)
-    s = SCALE
-    w = min(d, max(2, math.ceil(DEFAULT_PRECISION * 3 / 4 / math.log2(base))))
-    z = d - w
-    if base == 2:
-        head, rem = value >> z, value & ((1 << z) - 1)
-    else:
-        head, rem = divmod(value, base**z)
-    if head * base == base**w:
+    est = _log_below(value, base)  # first: it refuses value < 1 and base < 2
+    w, top, r_lo, r_hi = _window(base)
+    s, z = SCALE, max(0, est + 1 - w)
+    head, rem = divmod(value, base**z)
+    while head >= top:  # z was low: one more digit of value goes to rem
+        head, digit = divmod(head, base)
+        rem, z = rem or digit, z + 1
+    if not z:  # the window is all of value
+        w = digit_count(value, base)
+        top = base**w
+    if head * base == top:
         lo = hi = (w - 1) << s
     else:
         ln_lo, ln_hi = ln_fixed(head, DEFAULT_PRECISION)

@@ -5,9 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from mpmath import mpf
-from mpmath.libmp import from_int, from_man_exp, mpf_le, mpf_log, mpf_shift, mpf_sub
-from mpmath.libmp import round_ceiling, round_floor
+from mpmath import iv, mpf
+from mpmath.libmp import fnan, fninf, finf, from_int, from_man_exp, mpf_add, mpf_le, mpf_log
+from mpmath.libmp import mpf_shift, mpf_sub, round_ceiling, round_floor
 
 from partdigits import (
     SequenceKind,
@@ -24,7 +24,8 @@ from partdigits.asymptotics import (
     PL_VALID_FROM,
     _iroot_bracket,
 )
-from partdigits.certified import DEFAULT_PRECISION, GUARD_BITS, inf, interval_context, ln_fixed, sup
+from partdigits.certified import DEFAULT_PRECISION, GUARD_BITS, SCALE, from_fixed, inf
+from partdigits.certified import interval_context, ln_fixed, sup
 
 # 50-digit references computed once by scripts/compute_reference_constants.py
 # with mpmath at 60 decimal digits; pinned here as an independent cross-check.
@@ -142,6 +143,43 @@ def test_log_pl_estimate_guards():
         log_pl_estimate(3000, 0)
 
 
+def _contains_cases(est, kernel_logs):
+    """Enclosures around the envelope's four edges mid -+ env_lo: the kernel's
+    logs, zero-width points on and next to each edge, endpoints finer than
+    2^-SCALE, coarse float intervals, and infinite or nan endpoints."""
+    (m_lo, m_hi), radius = est.midpoint._mpi_, est.envelope._mpi_[0]
+    edges = [op(m, radius, 0) for m in (m_lo, m_hi) for op in (mpf_sub, mpf_add)]
+    steps = [from_man_exp(sign, -bits) for sign in (1, -1) for bits in (SCALE, SCALE + 76, 180)]
+    points = edges + [mpf_add(edge, step, 0) for edge in edges for step in steps]
+    cases = list(kernel_logs)
+    cases += [iv.make_mpf((x, x)) for x in points]
+    cases += [iv.make_mpf((x, y)) for x in points for y in points if mpf_le(x, y)]
+    for x in edges + [m_lo]:
+        near = float(mpf(x))
+        cases += [iv.mpf([near, near]), iv.mpf([near - 1e-3, near + 1e-3]),
+                  iv.mpf([near - 0.5, near]), iv.mpf([near, near + 0.5])]
+        cases += [iv.make_mpf(pair) for pair in ((fninf, x), (x, finf), (fnan, x), (x, fnan))]
+    cases += [iv.mpf(["-inf", "inf"]), iv.make_mpf((finf, finf)), iv.make_mpf((fninf, fninf))]
+    return cases
+
+
+def test_contains_agrees_with_the_mpf_reference(p_table, pl_table, contains_reference):
+    # the integer-shift comparison against the exact mpf formula, on the
+    # kernel's enclosures and on enclosures the kernel never makes
+    assert log_p_estimate(4, 36).contains(iv.mpf(["-inf", "inf"])) is False
+    estimates = [(log_p_estimate(n, b), p_table[n]) for n in (4, 5, 100, 1234, 49_000)
+                 for b in (2, 10, 36)]
+    estimates += [(log_pl_estimate(n, b), pl_table[n]) for n in (2829, 5000) for b in (2, 10)]
+    answers = set()
+    for est, value in estimates:
+        kernel_logs = [log_value_interval(v, est.base) for v in (value, value + 1, 2 * value)]
+        for case in _contains_cases(est, kernel_logs):
+            answer = est.contains(case)
+            assert answer is contains_reference(est, case), (est.n, est.base, case)
+            answers.add(answer)
+    assert answers == {True, False}
+
+
 def test_base_change_consistency():
     # midpoint * log b is the natural-log estimate, independent of b
     ctx = interval_context(192)
@@ -244,6 +282,18 @@ def test_estimates_enclose_the_interval_object_reference(estimate_reference):
                     assert mpf_le(width, mpf_shift(ref_width, 1)), (kind, n, b)
                 checked += 1
     assert checked > 2_000
+
+
+def test_from_fixed_builds_the_tuples_of_from_man_exp():
+    # from_fixed writes mpmath's raw tuples itself: they must be the
+    # normalised ones from_man_exp gives, zero and negative ends included
+    rng = random.Random(7)
+    ends = [0, 1, -1, 2**300, -(2**300), 3 << 200]
+    ends += [rng.choice((1, -1)) * rng.randrange(2**rng.randint(1, 600)) << rng.randint(0, 40)
+             for _ in range(2_000)]
+    for end in ends:
+        for scale in (0, SCALE):
+            assert from_fixed(end, end, scale)._mpi_ == (from_man_exp(end, -scale),) * 2, end
 
 
 @pytest.mark.parametrize("precision", [64, 192, 384])

@@ -760,7 +760,7 @@ def test_selftest_checks_ramanujans_congruences(monkeypatch):
 # below computes its answers afresh
 _CERTIFIED_CACHES = (
     certified.interval_context,
-    certified.ln_base_reciprocal,
+    partdigits.digits._window,
     asymptotics.eval_constants,
     asymptotics._instantiate,
     asymptotics._fixed_params,

@@ -351,3 +351,18 @@ def test_log_value_interval_against_two_log_oracle(base, precision):
             assert sup(x) - inf(x) <= (1 + 2**-16) * ulp / sup(wide.log(base)), value
         fr = frac_log(value, base)
         assert 0 <= inf(fr) and sup(fr) <= 1, value
+
+
+def test_one_power_head_matches_two_powers_at_power_boundaries(log_int_reference):
+    # values on either side of b^k, and windows that end at b^w, where the
+    # float estimate of the head's place is most often off and fixed up;
+    # k runs from w - 2 (the window is all of the value) to w + 3
+    for base in range(2, 37):
+        w = math.ceil(DEFAULT_PRECISION * 3 / 4 / math.log2(base))
+        for k in range(w - 2, w + 4):
+            for value in (base**k - 1, base**k, base**k + 1, (base**w - 1) * base**k):
+                d = digit_count(value, base)
+                assert base ** (d - 1) <= value < base**d, (base, value)
+                for ours, less in ((log_value_interval, 0), (frac_log, None)):
+                    ref = log_int_reference(value, base, less)
+                    assert ours(value, base)._mpi_ == ref._mpi_, (base, value, less)
