@@ -179,8 +179,8 @@ class LogEstimate:
     valid_from: int
     mid: tuple[int, int]
     env: tuple[int, int]
-    midpoint = functools.cached_property(lambda self: from_fixed(*self.mid, SCALE))
-    envelope = functools.cached_property(lambda self: from_fixed(*self.env, SCALE))
+    midpoint = functools.cached_property(lambda self: from_fixed(*self.mid))
+    envelope = functools.cached_property(lambda self: from_fixed(*self.env))
 
     def contains(self, log_value) -> bool:
         """Certified check that an enclosure of log_b(count(n)) fits the envelope.
@@ -221,7 +221,7 @@ def _fixed_params(kind: SequenceKind, base: int):
     """K, p and q of theta = p/q, then c1..c4's brackets at the kernel's scale."""
     params, theta = _instantiate(kind, base, DEFAULT_PRECISION), THETA[kind]
     cs = (params.c1, params.c2, params.c3, params.c4)
-    return params.K, theta.numerator, theta.denominator, *(e for c in cs for e in to_fixed(c, SCALE))
+    return params.K, theta.numerator, theta.denominator, *(e for c in cs for e in to_fixed(c))
 
 
 def _estimate(kind: SequenceKind, n: int, base: int) -> LogEstimate:

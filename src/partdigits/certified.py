@@ -30,11 +30,6 @@ SCALE = DEFAULT_PRECISION + GUARD_BITS  # the per-n kernel's fixed-point scale
 IntervalLike = object  # mpi, int, float, str, Fraction, or (lo, hi) pair
 
 
-def _check_precision(bits: int) -> None:
-    if bits < 8:
-        raise ValueError(f"precision must be at least 8 bits, got {bits}")
-
-
 @functools.cache
 def interval_context(precision: int) -> MPIntervalContext:
     """A private mpmath interval context whose arithmetic rounds at `precision` bits.
@@ -45,7 +40,8 @@ def interval_context(precision: int) -> MPIntervalContext:
     A value of another context on the left of an operator rounds at that
     context's precision, so convert operands before mixing them.
     """
-    _check_precision(precision)
+    if precision < 8:
+        raise ValueError(f"precision must be at least 8 bits, got {precision}")
     ctx = MPIntervalContext()
     ctx.prec = precision
     return ctx
@@ -67,10 +63,10 @@ def as_interval(x: IntervalLike, precision: int = DEFAULT_PRECISION):
     return iv.make_mpf(ctx.convert(x)._mpi_)
 
 
-def to_fixed(x, scale: int) -> tuple[int, int]:
-    """Integer bracket of an interval at 2^-scale: floor(lo 2^S), ceil(hi 2^S)."""
+def to_fixed(x) -> tuple[int, int]:
+    """Integer bracket of an interval at the kernel's scale: floor(lo 2^S), ceil(hi 2^S)."""
     lo, hi = as_interval(x)._mpi_
-    return to_int(mpf_shift(lo, scale), round_floor), to_int(mpf_shift(hi, scale), round_ceiling)
+    return to_int(mpf_shift(lo, SCALE), round_floor), to_int(mpf_shift(hi, SCALE), round_ceiling)
 
 
 def _raw(man: int, exp: int) -> tuple:
@@ -82,9 +78,9 @@ def _raw(man: int, exp: int) -> tuple:
     return int(man < 0), odd, exp + zeros, odd.bit_length()
 
 
-def from_fixed(lo: int, hi: int, scale: int):
-    """The iv.mpf with the exact endpoints lo 2^-scale and hi 2^-scale."""
-    return iv.make_mpf((_raw(lo, -scale), _raw(hi, -scale)))
+def from_fixed(lo: int, hi: int):
+    """The iv.mpf with the exact endpoints lo 2^-S and hi 2^-S, S = SCALE."""
+    return iv.make_mpf((_raw(lo, -SCALE), _raw(hi, -SCALE)))
 
 
 def ln_fixed(x: int, precision: int) -> tuple[int, int]:

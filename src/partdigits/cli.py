@@ -17,6 +17,7 @@ from mpmath import mp
 from mpmath.libmp import mpf_add, mpf_shift, round_nearest
 
 from .asymptotics import (
+    PL_VALID_FROM,
     horizon_precision,
     instantiate_p,
     instantiate_pl,
@@ -213,12 +214,12 @@ def _save_table(table: SequenceTable, path: Path | None, loaded_last: int) -> No
 RESULT_FIELDS = ("f", "n_min", "bound", "within_bound", "method")
 
 
-def _fmt(x, precision: int, digits: int = 25) -> str:
-    """Deterministic decimal rendering of a certified value's midpoint,
-    rounded to nearest at `precision` bits."""
+def _fmt(x, precision: int) -> str:
+    """Deterministic 25-digit decimal rendering of a certified value's
+    midpoint, rounded to nearest at `precision` bits."""
     lo, hi = as_interval(x, precision)._mpi_
     mid = mpf_shift(mpf_add(lo, hi, precision, round_nearest), -1)
-    return mp.nstr(mp.make_mpf(mid), digits)
+    return mp.nstr(mp.make_mpf(mid), 25)
 
 
 def _result_dict(r: SearchResult) -> dict:
@@ -420,7 +421,7 @@ def _selftest_checks():
     )))
     checks.append(("plane-log-envelope", all(
         log_pl_estimate(n, 10).contains(log_value_interval(pl_table[n], 10))
-        for n in range(2829, 2961)
+        for n in range(PL_VALID_FROM, 2961)
     )))
 
     ctx = interval_context(DEFAULT_PRECISION)

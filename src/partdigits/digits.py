@@ -101,7 +101,7 @@ def _log_below(n: int, base: int) -> int:
     """An integer at most floor(log_b n) for n >= 1 and base >= 2, from n's bit
     length: the 2^-40 taken off the float quotient outweighs its error."""
     if n < 1 or base < 2:
-        raise ValueError(f"digit_count requires n >= 1 and base >= 2, got {n}, {base}")
+        raise ValueError(f"need n >= 1 and base >= 2, got {n}, {base}")
     return int((n.bit_length() - 1) / math.log2(base) * (1 - 2**-40))
 
 
@@ -172,7 +172,7 @@ def _log_int(value: int, base: int, less: int | None):
     if rem:
         hi = min(hi - (-r_hi // head), w << s)
     shift = (1 - w if less is None else z - less) << s
-    return from_fixed(lo + shift, hi + shift, s)
+    return from_fixed(lo + shift, hi + shift)
 
 
 def log_value_interval(value: int, base: int):

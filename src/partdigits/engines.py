@@ -18,16 +18,17 @@ each sign are one sum(map(values.__getitem__, offsets)), added in C.
 The PL convolution is computed online, in blocks (a relaxed product in
 the sense of van der Hoeven, "Relax, but don't be too lazy", 2002): the
 terms with k < 256 are summed per n, and every other term comes from a
-block product of up to 512 values by 512 sigma2 entries, run once the
-block is complete, at the first n it contributes to.  A block product is
-one multiplication of two Kronecker-packed `decimal.Decimal`s, 10^W per
-slot (Harvey, "Faster polynomial multiplication via multipoint Kronecker
-substitution", 2009): libmpdec multiplies large operands with a
-number-theoretic transform, CPython's int with Karatsuba.  Its sums wait
-in a pending list of at most 1023 targets.  Building the PL table took
-0.14 s to n = 2e3, 1.6 s to 6e3 and 33 s to 2e4, against 0.27 s, 3.0 s
-and 56 s for the per-n convolution (CPython 3.11, 2-core x86 VM, one
-after the other).
+block product run once the block is complete, at the first n it
+contributes to: a leaf of 256 values by sigma2(256..511) at every
+multiple of 256, and tiles of 512 values by 512 sigma2 entries at every
+multiple of 512.  A block product is one multiplication of two
+Kronecker-packed `decimal.Decimal`s, 10^W per slot (Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution", 2009):
+libmpdec multiplies large operands with a number-theoretic transform,
+CPython's int with Karatsuba.  Its sums wait in a pending list of at
+most 1023 targets.  Building the PL table took 0.14 s to n = 2e3, 1.6 s
+to 6e3 and 33 s to 2e4, against 0.27 s, 3.0 s and 56 s for the per-n
+convolution (CPython 3.11, 2-core x86 VM, one after the other).
 
 Tables grow lazily in chunks and account their memory against a byte
 budget; extension aborts with ResourceLimitError rather than thrash.
@@ -74,13 +75,13 @@ _DIGEST_SIZE = 32  # SHA-256 of everything before it
 _PARSE_CHUNK = 256
 
 # Blocked plane-partition convolution: terms sigma2(k) * PL(n-k) with
-# k < _LEAF are summed per n; the rest come from block products of length
-# _LEAF.._TILE.  _TILE bounds the pending lookahead (2*_TILE - 1 targets)
-# and the size of one product; both are powers of two, _LEAF <= _TILE.
-# The cache stores the pending sums, which depend on both: changing either
-# must bump _CACHE_VERSION.
+# k < _LEAF are summed per n; the rest come from block products, a leaf of
+# _LEAF values at every multiple of _LEAF and tiles of _TILE values at every
+# multiple of _TILE.  _TILE bounds the pending lookahead (2*_TILE - 1
+# targets) and the size of one product.  The cache stores the pending sums,
+# which depend on _LEAF: changing it must bump _CACHE_VERSION.
 _LEAF = 256
-_TILE = 512
+_TILE = 2 * _LEAF
 
 # Exact for any operands: libmpdec sizes a product by its operands, and the
 # trap turns a rounding, which would be a bug, into an exception.
@@ -392,23 +393,19 @@ class SequenceTable:
     def _block_products(self, m: int) -> list[int]:
         """Coefficients, for targets m, m+1, ..., of the block products run at m.
 
-        At m, a multiple of _LEAF, the products are values[m-s:m] times
-        sigma2[s:2s] for each s = _LEAF, 2*_LEAF, ..., _TILE dividing m,
-        and, when _TILE divides m, the tiles values[m-k:m-k+_TILE] times
-        sigma2[k:k+_TILE] for k = 2*_TILE, 3*_TILE, ..., m.  Together with
-        the per-n terms k < _LEAF they cover every (j, k) exactly once.  All
-        products are Kronecker-packed with one slot width and summed before
-        a single unpacking.
+        At m, a multiple of _LEAF, the products are the leaf
+        values[m-_LEAF:m] times sigma2[_LEAF:_TILE] and, when _TILE divides
+        m, the tiles values[m-k:m-k+_TILE] times sigma2[k:k+_TILE] for
+        k = _TILE, 2*_TILE, ..., m.  Together with the per-n terms k < _LEAF
+        they cover every (j, k) exactly once.  All products are
+        Kronecker-packed with one slot width and summed before a single
+        unpacking.
         """
         vals = self._values
         sig = self._sigma2
-        blocks = []  # (first value, first sigma2 entry, length)
-        s = _LEAF
-        while s <= _TILE and m % s == 0:
-            blocks.append((m - s, s, s))
-            s *= 2
+        blocks = [(m - _LEAF, _LEAF, _LEAF)]  # (first value, first sigma2 entry, length)
         if m % _TILE == 0:
-            blocks.extend((m - k, k, _TILE) for k in range(2 * _TILE, m + 1, _TILE))
+            blocks.extend((m - k, k, _TILE) for k in range(_TILE, m + 1, _TILE))
         # A coefficient sums at most m terms, each below PL(m-1) * 2(m+_TILE)^2
         # (PL is nondecreasing and sigma2(k) < zeta(2) k^2), so it is below
         # 2^bits, and 10^width >= 2^bits because 0.30103 > log10(2).

@@ -113,7 +113,7 @@ def _log_int_reference(value: int, base: int, less: int | None):
     if rem:
         hi = min(hi - (-r_hi // head), w << s)
     shift = (1 - w if less is None else z - less) << s
-    return from_fixed(lo + shift, hi + shift, s)
+    return from_fixed(lo + shift, hi + shift)
 
 
 @pytest.fixture

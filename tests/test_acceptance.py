@@ -21,9 +21,9 @@ from partdigits import (
     brute_force_pl,
     compute_bounds,
     decide_membership,
-    digit_count,
     eval_constants,
     find_m_a_delta,
+    frac_log,
     instantiate_p,
     instantiate_pl,
     leading_digits,
@@ -228,9 +228,15 @@ def test_acceptance_6_framework_soundness():
 
 
 def test_acceptance_7_window_round_trip():
+    # decide_membership falls back to extraction where the certified window
+    # test is undecided, so the window test is also checked on its own: it
+    # is never the opposite of extraction, and undecided only on a window
+    # endpoint, n = f b^k or (f + 1) b^k.  Only low - 1, just below the
+    # window, gives it values off an endpoint to certify outside
     rng = random.Random(990_417)
     checks = 0
     mismatches = 0
+    decided = undecided = wrong = stray = 0
     started = time.monotonic()
     for _ in range(2500):
         b = rng.randint(2, 16)
@@ -241,19 +247,27 @@ def test_acceptance_7_window_round_trip():
         z = rng.randint(0, 12)
         low, high = fv * b**z, (fv + 1) * b**z - 1
         outside = high + 1
-        for n in (low, high, rng.randint(low, high), outside):
-            if digit_count(n, b) < t:
+        for n in (low, high, rng.randint(low, high), outside, low - 1):
+            if n < b ** (t - 1):  # fewer than t digits
                 continue
             truth = leading_digits(n, b, t) == f
             decision, _ = decide_membership(n, ti)
             checks += 1
             if decision != truth:
                 mismatches += 1
+            certified = ti.contains(frac_log(n, b))
+            if certified is None:
+                undecided += 1
+                stray += all(n not in (fv * b**k, (fv + 1) * b**k) for k in range(z + 1))
+            else:
+                decided += 1
+                wrong += certified != truth
     elapsed = time.monotonic() - started
-    ok = mismatches == 0 and checks >= 10_000
+    ok = mismatches == 0 and checks >= 10_000 and wrong == stray == 0
     assert _report(
         7, "digit extraction vs window membership on boundary-heavy samples", ok,
-        f"{checks} checks, {mismatches} mismatches, {elapsed:.1f}s",
+        f"{checks} checks, {mismatches} mismatches; window test alone: {decided} decided, "
+        f"{wrong} wrong, {undecided} undecided, {stray} off an endpoint; {elapsed:.1f}s",
     )
 
 

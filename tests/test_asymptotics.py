@@ -24,7 +24,7 @@ from partdigits.asymptotics import (
     PL_VALID_FROM,
     _iroot_bracket,
 )
-from partdigits.certified import DEFAULT_PRECISION, GUARD_BITS, SCALE, from_fixed, inf
+from partdigits.certified import DEFAULT_PRECISION, GUARD_BITS, SCALE, _raw, from_fixed, inf
 from partdigits.certified import interval_context, ln_fixed, sup
 
 # 50-digit references computed once by scripts/compute_reference_constants.py
@@ -285,15 +285,16 @@ def test_estimates_enclose_the_interval_object_reference(estimate_reference):
 
 
 def test_from_fixed_builds_the_tuples_of_from_man_exp():
-    # from_fixed writes mpmath's raw tuples itself: they must be the
-    # normalised ones from_man_exp gives, zero and negative ends included
+    # from_fixed writes mpmath's raw tuples itself, through _raw: they must
+    # be the normalised ones from_man_exp gives, zero and negative ends
+    # included, at the kernel's scale and at scale 0 (ln_fixed's argument)
     rng = random.Random(7)
     ends = [0, 1, -1, 2**300, -(2**300), 3 << 200]
     ends += [rng.choice((1, -1)) * rng.randrange(2**rng.randint(1, 600)) << rng.randint(0, 40)
              for _ in range(2_000)]
     for end in ends:
-        for scale in (0, SCALE):
-            assert from_fixed(end, end, scale)._mpi_ == (from_man_exp(end, -scale),) * 2, end
+        assert from_fixed(end, end)._mpi_ == (from_man_exp(end, -SCALE),) * 2, end
+        assert _raw(end, 0) == from_man_exp(end, 0), end
 
 
 @pytest.mark.parametrize("precision", [64, 192, 384])

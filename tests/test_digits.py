@@ -113,6 +113,15 @@ def test_digit_count_matches_string_length():
         leading_digits(5, 1, 1)
 
 
+def test_log_enclosures_refuse_a_value_below_1_in_their_own_terms():
+    # the shared check names no function: log_value_interval and frac_log
+    # never call digit_count
+    for call, args in ((log_value_interval, (0, 10)), (frac_log, (5, 1)), (digit_count, (0, 10))):
+        with pytest.raises(ValueError, match="need n >= 1 and base >= 2") as raised:
+            call(*args)
+        assert "digit_count" not in str(raised.value), call.__name__
+
+
 def test_leading_digits_examples():
     assert leading_digits(31415, 10, 2).text() == "31"
     assert leading_digits(10**6, 10, 3).text() == "100"

@@ -554,6 +554,18 @@ def test_tile_scheme_is_pinned_to_the_cache_version():
     assert (_LEAF, _TILE, _CACHE_VERSION) == (256, 512, 4)
 
 
+def test_product_schedule_is_pinned_by_its_pending_sums():
+    # the pending sums a pl table holds past the tile run at 1,024 are laid
+    # out by the product schedule, and the cache stores them: a schedule
+    # that changes them must come with a new _CACHE_VERSION.  The hash is
+    # over the values, not a file, so it does not depend on sys.getsizeof
+    table = SequenceTable(SequenceKind.PLANE_PARTITION).extend(1100)
+    state = repr(([table[n] for n in range(1101)], table._pending)).encode()
+    assert hashlib.sha256(state).hexdigest() == (
+        "33d1c8555476c0625aa30cc3200690061da5eba808a4e597d63a75787a9d7b03"
+    )
+
+
 def test_loaded_table_parses_entries_on_first_use(tmp_path):
     path = tmp_path / "p.table"
     table = SequenceTable(SequenceKind.PARTITION).extend(3000)
