@@ -26,7 +26,7 @@ from .asymptotics import (
     theorem_bound,
 )
 from .certified import DEFAULT_PRECISION, as_interval, inf, interval_context, sup
-from .digits import DigitString, leading_digits, log_value_interval, target_interval
+from .digits import DigitString, frac_log, leading_digits, log_value_interval, target_interval
 from .engines import (
     DEFAULT_MEMORY_BUDGET,
     ResourceLimitError,
@@ -40,7 +40,6 @@ from .framework import compute_bounds, find_m_a_delta
 from .search import (
     SearchResult,
     VerificationReport,
-    decide_membership,
     digit_census,
     find_min_n,
     verify_theorem,
@@ -211,7 +210,7 @@ def _save_table(table: SequenceTable, path: Path | None, loaded_last: int) -> No
 
 # -- rendering ------------------------------------------------------------
 
-RESULT_FIELDS = ("f", "n_min", "bound", "within_bound", "method")
+RESULT_FIELDS = ("f", "n_min", "bound", "within_bound")
 
 
 def _fmt(x, precision: int) -> str:
@@ -228,14 +227,13 @@ def _result_dict(r: SearchResult) -> dict:
         "kind": r.kind.value,
         "n_min": r.n_min,
         "value_digit_count": r.value_digit_count,
-        "method": r.method,
         "bound": r.bound,
         "within_bound": r.within_bound,
     }
 
 
 def _result_row(r: SearchResult) -> tuple:
-    return (r.f.text(), "" if r.n_min is None else r.n_min, r.bound, r.within_bound, r.method)
+    return (r.f.text(), "" if r.n_min is None else r.n_min, r.bound, r.within_bound)
 
 
 def _report_dict(report: VerificationReport) -> dict:
@@ -287,7 +285,7 @@ def _cmd_search(args) -> int:
         return EXIT_FINDINGS
     text = (
         f"{kind.value}({result.n_min}) starts with '{f}' (base {f.base}); "
-        f"value has {result.value_digit_count} digits; method {result.method}; "
+        f"value has {result.value_digit_count} digits; "
         f"bound {result.bound}; within_bound {result.within_bound}"
     )
     _emit(args.output, _result_dict(result), RESULT_FIELDS, [_result_row(result)], [text])
@@ -430,20 +428,22 @@ def _selftest_checks():
         for x in (ctx.mpf(k) / 1024 for k in range(-512, 513))
     )))
 
+    # the certified window alone: never the opposite of extraction, undecided only at f b^z
     rng = random.Random(20260816)
     ok = True
     for _ in range(300):
         b = rng.randint(2, 16)
         t = rng.randint(2 if b == 2 else 1, 3)
-        fv = rng.randint(b ** (t - 1), b**t - 1)
-        f = DigitString(b, t, fv)
+        f = DigitString(b, t, rng.randint(b ** (t - 1), b**t - 1))
+        window = target_interval(f)
         z = rng.randint(0, 8)
-        lo, hi = fv * b**z, (fv + 1) * b**z - 1
-        for n in (lo, hi, rng.randint(lo, hi)):
-            if leading_digits(n, b, t) != f:
-                ok = False
-            decision, _ = decide_membership(n, target_interval(f))
-            if not decision:
+        lo, hi = f.value * b**z, (f.value + 1) * b**z - 1
+        for n in (lo, hi, rng.randint(lo, hi), lo - 1):
+            if n < b ** (t - 1):  # lo - 1 with fewer than t digits
+                continue
+            inside = leading_digits(n, b, t) == f
+            decision = window.contains(frac_log(n, b))
+            if inside != (n >= lo) or decision == (not inside) or (decision is None and n != lo):
                 ok = False
     checks.append(("digit-roundtrip", ok))
 

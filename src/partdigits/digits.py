@@ -123,11 +123,7 @@ def leading_digits(n: int, base: int, t: int) -> DigitString:
     d = digit_count(n, base)
     if d < t:
         raise ValueError(f"{n} has only {d} base-{base} digits, need {t}")
-    if base == 2:
-        w = n >> (d - t)
-    else:
-        w = n // base ** (d - t)
-    return DigitString(base, t, w)
+    return DigitString(base, t, n // base ** (d - t))
 
 
 @functools.cache

@@ -9,14 +9,15 @@ n = 24,000 a census costs 0.3-0.5 us per entry this way, against
 0.5-1.0 us for a Python generator step per entry carrying the divisor
 (best of 7 calls, five rounds alternating the two; CPython 3.11, 2-core
 x86 VM).  Every first hit is re-confirmed by `leading_digits` before it
-is reported.
+is reported.  The scan decides every result, so a result names no
+decision tier.
 
-`decide_membership`, the certified fractional-log window test, is not on
-the scan path: on p(48001..50000) in base 10, window "1", it takes 13-19
-us per value against 3.0-3.2 us for exact extraction (the two alternating,
-2 x 5 rounds of 2,000 values; CPython 3.11.7, pure-Python mpmath 1.3.0,
-2-core Intel Xeon x86 VM).  It stays as library API for audits of the
-certified layer.
+`decide_membership`, the certified fractional-log window test with an
+extraction fallback, is on no program path: on p(48001..50000) in base
+10, window "1", it takes 13-19 us per value against 3.0-3.2 us for exact
+extraction (the two alternating, 2 x 5 rounds of 2,000 values; CPython
+3.11.7, pure-Python mpmath 1.3.0, 2-core Intel Xeon x86 VM).  It stays as
+library API for audits of the certified layer.
 """
 from __future__ import annotations
 
@@ -38,8 +39,6 @@ from .digits import (
 )
 from .engines import ResourceLimitError, SequenceKind, SequenceTable, _int_size
 
-METHOD_EXACT = "exact"
-
 _GROWTH_CHUNK = 256
 
 
@@ -49,7 +48,6 @@ class SearchResult:
     kind: SequenceKind
     n_min: int | None
     value_digit_count: int | None
-    method: str
     bound: int
     within_bound: bool
 
@@ -156,7 +154,6 @@ def _result(
         kind=kind,
         n_min=n_min,
         value_digit_count=value_digits,
-        method=METHOD_EXACT,
         bound=bound,
         within_bound=n_min is not None and n_min <= bound,
     )
@@ -215,7 +212,7 @@ def verify_theorem(
     table = _table_for(kind, table)
     f = DigitString(base, t, base ** (t - 1))
     count = base**t - f.value
-    each = sys.getsizeof(f) + sys.getsizeof(SearchResult(f, kind, None, None, METHOD_EXACT, 0, False))
+    each = sys.getsizeof(f) + sys.getsizeof(SearchResult(f, kind, None, None, 0, False))
     if (need := count * each) > table.memory_budget:
         raise ResourceLimitError(
             f"verifying {count} digit strings needs at least {need} bytes of per-string "

@@ -16,6 +16,7 @@ from pathlib import Path
 import mpmath
 import pytest
 from mpmath import iv, mp
+from mpmath.libmp import from_man_exp, mpf_add, mpf_sub
 
 import partdigits
 import partdigits.asymptotics as asymptotics
@@ -89,7 +90,7 @@ def test_search_csv_matches_json(capsys):
     cells = dict(zip(header.split(","), row.split(",")))
     assert int(cells["n_min"]) == payload["n_min"]
     assert int(cells["bound"]) == payload["bound"]
-    assert cells["method"] == payload["method"]
+    assert cells["within_bound"] == str(payload["within_bound"])
 
 
 def test_search_text_output(capsys):
@@ -632,7 +633,7 @@ BOUND_TERMS = {
 
 def _p_result(f, n_min, digits, bound):
     return {"f": f, "kind": "p", "n_min": n_min, "value_digit_count": digits,
-            "method": "exact", "bound": bound, "within_bound": True}
+            "bound": bound, "within_bound": True}
 
 
 def _json(document):
@@ -644,10 +645,10 @@ def _json(document):
 EXACT_STDOUT = {
     ("search --kind p --base 10 --digits 7", "json"): _json(_p_result("7", 5, 1, 5470)),
     ("search --kind p --base 10 --digits 7", "csv"):
-        "f,n_min,bound,within_bound,method\n7,5,5470,True,exact\n",
+        "f,n_min,bound,within_bound\n7,5,5470,True\n",
     ("search --kind p --base 10 --digits 7", "text"):
-        "p(5) starts with '7' (base 10); value has 1 digits; method exact; "
-        "bound 5470; within_bound True\n",
+        "p(5) starts with '7' (base 10); value has 1 digits; bound 5470; "
+        "within_bound True\n",
     ("bound --kind p --base 10 --t 1", "json"): _json({
         "kind": "p", "b": 10, "t": 1, "theorem_bound": 5470, "conventions": BOUND_TERMS,
     }),
@@ -675,7 +676,7 @@ EXACT_STDOUT = {
         "max_n_min": 3, "all_within_bound": True,
     }),
     ("verify --kind p --base 2 --t 2", "csv"):
-        "f,n_min,bound,within_bound,method\n10,2,9658,True,exact\n11,3,9658,True,exact\n",
+        "f,n_min,bound,within_bound\n10,2,9658,True\n11,3,9658,True\n",
     ("verify --kind p --base 2 --t 2", "text"):
         "p base 2 t 2: 2 digit strings, bound 9658\n"
         "  f 10: n_min 2, within_bound True\n"
@@ -739,6 +740,36 @@ def test_selftest_checks_the_sieve_the_pl_engine_uses(monkeypatch):
     checks = dict(cli._selftest_checks())
     assert checks["sigma2-vs-divisor-sieve"] is False
     assert checks["plane-recurrence-vs-enumeration"] is True
+
+
+def _widened_by_2_to_minus_40(log_int):
+    eps = from_man_exp(1, -40)
+
+    def widened(value, base, less):
+        lo, hi = log_int(value, base, less)._mpi_
+        return iv.make_mpf((mpf_sub(lo, eps, 0), mpf_add(hi, eps, 0)))
+
+    return widened
+
+
+def _false_left_undecided(membership):
+    def undecided(x, lo, hi):
+        decision = membership(x, lo, hi)
+        return None if decision is False else decision
+
+    return undecided
+
+
+@pytest.mark.parametrize("name, wrong", [
+    ("_log_int", _widened_by_2_to_minus_40),
+    ("membership_half_open", _false_left_undecided),
+])
+def test_selftest_sees_a_wrong_certified_window(monkeypatch, name, wrong):
+    # with no extraction fallback, an enclosure too wide to decide off the
+    # window's endpoint, or a window that never says False, fails the check
+    monkeypatch.setattr(partdigits.digits, name, wrong(getattr(partdigits.digits, name)))
+    checks = dict(cli._selftest_checks())
+    assert [check for check, ok in checks.items() if not ok] == ["digit-roundtrip"]
 
 
 def test_selftest_checks_ramanujans_congruences(monkeypatch):
@@ -846,6 +877,25 @@ def test_readme_library_example_runs_and_shows_its_values():
     assert len(shown) == 5
     for expression, comment in shown:
         assert repr(eval(expression, scope)) == comment.split(" = ", 1)[0], expression
+
+
+def test_readme_cli_examples_print_what_they_show(capsys, monkeypatch):
+    # each "$ partdigits ..." line of the examples block under "## CLI" in
+    # README.md prints the lines shown below it, all of them or up to "..."
+    monkeypatch.delenv(ENV_CACHE_DIR, raising=False)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("\nExamples:\n\n```\n", 1)[1].split("```", 1)[0]
+    examples = re.findall(r"^\$ partdigits (.*)\n((?:.+\n)*)", block, re.M)
+    assert len(examples) == 3
+    for command, shown in examples:
+        code, out, err = _run(capsys, *command.split())
+        assert (code, err) == (EXIT_OK, ""), command
+        shown, out = shown.splitlines(), out.splitlines()
+        if shown[-1] == "...":  # the output goes on past the lines shown
+            shown.pop()
+            out = out[:len(shown)]
+        assert out == shown, command
 
 
 def test_import_does_not_load_the_cache_modules():

@@ -20,7 +20,7 @@ from partdigits import (
 )
 from partdigits.cli import RESULT_FIELDS, _emit, _report_dict, _result_dict, _result_row
 from partdigits.digits import digit_count
-from partdigits.search import METHOD_EXACT, scan_runs
+from partdigits.search import scan_runs
 
 P_FIRST_HITS = {1: 0, 2: 2, 3: 3, 4: 10, 5: 4, 6: 20, 7: 5, 8: 32, 9: 60}
 PL_FIRST_HITS = {1: 0, 2: 5, 3: 2, 4: 6, 5: 10, 6: 3, 7: 20, 8: 7, 9: 37}
@@ -73,15 +73,6 @@ def test_find_min_n_agrees_with_naive_oracle(p_table, pl_table):
     for text in ("10", "19", "31", "99"):
         r = find_min_n(SequenceKind.PARTITION, DigitString.parse(text, 10), table=p_table)
         assert r.n_min == _naive_first_hit(p_table, text, 10, 500)
-
-
-def test_method_field_reflects_decision_path(p_table):
-    # the scan decides every value by exact head extraction, inside a
-    # window ("4": p(10) = 42) and on a window endpoint ("3": p(3) = 3)
-    r4 = find_min_n(SequenceKind.PARTITION, DigitString.parse("4", 10), table=p_table)
-    assert r4.method == METHOD_EXACT
-    r3 = find_min_n(SequenceKind.PARTITION, DigitString.parse("3", 10), table=p_table)
-    assert r3.method == METHOD_EXACT
 
 
 def test_find_min_n_not_found_and_monotone_limit(p_table):
@@ -316,7 +307,6 @@ def test_search_result_serialization(p_table):
         "kind": "p",
         "n_min": 10,
         "value_digit_count": 2,
-        "method": METHOD_EXACT,
         "bound": 5470,
         "within_bound": True,
     }
@@ -342,11 +332,11 @@ def test_results_csv_layout(p_table, capsys):
     # a not-found result leaves the n_min cell empty
     missing = SearchResult(
         f=DigitString.parse("9", 10), kind=SequenceKind.PARTITION, n_min=None,
-        value_digit_count=None, method=METHOD_EXACT, bound=100, within_bound=False,
+        value_digit_count=None, bound=100, within_bound=False,
     )
     _emit("csv", None, RESULT_FIELDS, [_result_row(r), _result_row(missing)], ())
     assert capsys.readouterr().out.splitlines() == [
-        "f,n_min,bound,within_bound,method",
-        "4,10,5470,True,exact",
-        "9,,100,False,exact",
+        "f,n_min,bound,within_bound",
+        "4,10,5470,True",
+        "9,,100,False",
     ]
