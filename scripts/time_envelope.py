@@ -9,6 +9,8 @@ On p(n) for the 2,000 n from 48,001, in base 10, each round times
     log       log_value_interval(p(n), b)
     compare   estimate.contains(log), on operands built beforehand
     check     log_p_estimate(n, b).contains(log_value_interval(p(n), b))
+    ln        ln_fixed(n) and ln_fixed(head) at 192 bits, head the leading
+              window of p(n) that log_value_interval takes the log of
 
 and the script prints the best and the median over the rounds.  Every
 round runs in a fresh interpreter that imports partdigits from its
@@ -28,15 +30,16 @@ import sys
 import time
 from pathlib import Path
 
-LAYERS = ("estimate", "log", "compare", "check")
+LAYERS = ("estimate", "log", "compare", "check", "ln")
 START, COUNT, BASE = 48001, 2000, 10
 
 
 def _round() -> dict[str, float]:
-    """One round of the four layers in this interpreter, µs per n."""
+    """One round of the layers in this interpreter, µs per n."""
     from partdigits import SequenceKind, SequenceTable
     from partdigits.asymptotics import log_p_estimate
-    from partdigits.digits import log_value_interval
+    from partdigits.certified import DEFAULT_PRECISION, ln_fixed
+    from partdigits.digits import _window, digit_count, log_value_interval
 
     table = SequenceTable(SequenceKind.PARTITION)
     table.extend(START + COUNT - 1)
@@ -44,6 +47,8 @@ def _round() -> dict[str, float]:
     values = [table[n] for n in ns]
     estimates = [log_p_estimate(n, BASE) for n in ns]
     logs = [log_value_interval(v, BASE) for v in values]
+    width = _window(BASE)[0]
+    heads = [v // BASE ** (digit_count(v, BASE) - width) for v in values]
     timings = {}
 
     def timed(layer, loop):
@@ -56,6 +61,8 @@ def _round() -> dict[str, float]:
     timed("compare", lambda: [e.contains(x) for e, x in zip(estimates, logs)])
     timed("check", lambda: [log_p_estimate(n, BASE).contains(log_value_interval(v, BASE))
                             for n, v in zip(ns, values)])
+    timed("ln", lambda: [(ln_fixed(n, DEFAULT_PRECISION), ln_fixed(h, DEFAULT_PRECISION))
+                         for n, h in zip(ns, heads)])
     return timings
 
 

@@ -16,9 +16,9 @@ estimate is derived from them: its midpoint is the model's main term and
 its envelope c4*n^(-theta), both certified.  The constants compute on
 interval_context(P), an estimate on `certified`'s fixed-point kernel at
 its one scale S = SCALE: c1..c4 at P = 192, bracketed once per (kind, b),
-n^theta from exact integer roots of n^p * 2^(qS), ln n from one mpf_log
-(ln_fixed), and the rest integer multiply, shift and floor division, in
-7.7-8.8 µs per n; `contains` compares integers only, in 0.6-0.8 µs
+n^theta from exact integer roots of n^p * 2^(qS), ln n from ln_fixed's
+integer series, and the rest integer multiply, shift and floor division,
+in 7.1-8.0 µs per n; `contains` compares integers only, in 0.8-0.9 µs
 (scripts/time_envelope.py).  No result depends on mpmath's global precision.
 
 c4 and K are stated, not derived: nothing here proves the envelope.  For

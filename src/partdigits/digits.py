@@ -99,9 +99,12 @@ def all_digit_strings(base: int, t: int):
 
 def _log_below(n: int, base: int) -> int:
     """An integer at most floor(log_b n) for n >= 1 and base >= 2, from n's bit
-    length: the 2^-40 taken off the float quotient outweighs its error."""
+    length: exact in base 2, else the 2^-40 taken off the float quotient
+    outweighs its error."""
     if n < 1 or base < 2:
         raise ValueError(f"need n >= 1 and base >= 2, got {n}, {base}")
+    if base == 2:
+        return n.bit_length() - 1
     return int((n.bit_length() - 1) / math.log2(base) * (1 - 2**-40))
 
 
@@ -144,7 +147,7 @@ def _log_int(value: int, base: int, less: int | None):
     digits (_window), so value lies in [head*b^z, (head+1)*b^z): one power
     of b at z from _log_below, then exact fixups on the head, give both the
     head and the digit count z + w.  On the fixed-point kernel at S = SCALE,
-    every step rounded outward: ln(head) from one mpf_log (ln_fixed) times
+    every step rounded outward: ln(head) from ln_fixed's integer series times
     the cached bracket of 2^S / ln b, and on the upper end one ceiling
     division adds 1/(head ln b) >= log_b(head + 1) - log_b(head), capped at
     w because head + 1 <= b^w; the shift z - less is exact.  Endpoints at

@@ -1,13 +1,16 @@
 """Certified constants and log estimates with explicit error envelopes."""
 from __future__ import annotations
 
+import functools
+import inspect
 import random
+import textwrap
 from fractions import Fraction
 
 import pytest
 from mpmath import iv, mpf
 from mpmath.libmp import fnan, fninf, finf, from_int, from_man_exp, mpf_add, mpf_le, mpf_log
-from mpmath.libmp import mpf_shift, mpf_sub, round_ceiling, round_floor
+from mpmath.libmp import mpf_shift, mpf_sub, round_floor
 
 from partdigits import (
     SequenceKind,
@@ -26,6 +29,7 @@ from partdigits.asymptotics import (
 )
 from partdigits.certified import DEFAULT_PRECISION, GUARD_BITS, SCALE, _raw, from_fixed, inf
 from partdigits.certified import interval_context, ln_fixed, sup
+from partdigits import certified
 
 # 50-digit references computed once by scripts/compute_reference_constants.py
 # with mpmath at 60 decimal digits; pinned here as an independent cross-check.
@@ -287,7 +291,7 @@ def test_estimates_enclose_the_interval_object_reference(estimate_reference):
 def test_from_fixed_builds_the_tuples_of_from_man_exp():
     # from_fixed writes mpmath's raw tuples itself, through _raw: they must
     # be the normalised ones from_man_exp gives, zero and negative ends
-    # included, at the kernel's scale and at scale 0 (ln_fixed's argument)
+    # included, at the kernel's scale and at scale 0
     rng = random.Random(7)
     ends = [0, 1, -1, 2**300, -(2**300), 3 << 200]
     ends += [rng.choice((1, -1)) * rng.randrange(2**rng.randint(1, 600)) << rng.randint(0, 40)
@@ -297,21 +301,94 @@ def test_from_fixed_builds_the_tuples_of_from_man_exp():
         assert _raw(end, 0) == from_man_exp(end, 0), end
 
 
-@pytest.mark.parametrize("precision", [64, 192, 384])
-def test_log_bracket_holds_the_two_directed_logs(precision):
-    # one mpf_log call rounded down, plus one ulp, contains the pair of
-    # calls rounded down and up and is at most one ulp wider: mpf_log rounds
-    # one value in the requested direction, which is what ln_fixed needs
-    rng = random.Random(precision)
+@functools.cache
+def _ln_sweep() -> tuple[tuple[int, tuple], ...]:
+    """The x of the ln_fixed sweep, each with its 1,024-bit mpmath ln: 2^k
+    and 10^k, each +-1, 2..1,999 and 500 seeded values below 2^600, then c
+    and c +- 1 at ln_fixed's reduction points c: every level-1 point
+    (2^8 + j1) 2^(k-8) at k = 24 and 145, every level-2 point
+    (2^8 + j1)(2^16 + j2) 2^(k-24) in the first and last level-1 cell at
+    k = 145, and every level-3 point (2^8 + j1)(2^16 + j2)(2^24 + j3) 2^(k-48)
+    in the first and last level-2 cell of those at k = 145."""
+    rng = random.Random(600)
     xs = {2**k + d for k in range(1, 601) for d in (-1, 0, 1)} - {2**600 + 1}
     xs |= {10**k + d for k in range(1, 181) for d in (-1, 0, 1)}
     xs |= set(range(2, 2_000)) | {rng.randrange(2, 2**rng.randint(2, 600)) for _ in range(500)}
-    scale = precision + GUARD_BITS
-    for x in sorted(xs - {1}):
-        lo, hi = (from_man_exp(end, -scale) for end in ln_fixed(x, precision))
-        floor = mpf_log(from_int(x), precision, round_floor)
-        ceiling = mpf_log(from_int(x), precision, round_ceiling)
-        _, _, exp, bc = floor
-        assert lo == floor, x
-        assert mpf_sub(hi, lo) == from_man_exp(1, exp + bc - precision), x
-        assert hi == ceiling or ceiling == floor, x
+    cs = {(256 + j1) << (k - 8) for j1 in range(256) for k in (24, 145)}
+    cs |= {(256 + j1) * (65536 + j2) << 121 for j1 in (0, 255) for j2 in range(256)}
+    cs |= {(256 + j1) * (65536 + j2) * (2**24 + j3) << 97
+           for j1 in (0, 255) for j2 in (0, 255) for j3 in range(256)}
+    xs |= {c + d for c in cs for d in (-1, 0, 1)}
+    return tuple((x, mpf_log(from_int(x), 1024)) for x in sorted(xs - {1}))
+
+
+LN_PRECISIONS = (64, 192, 224, 384)  # the kernel's 192 and 224 (digits._window), and two more
+
+
+def _ln_misses(precision: int):
+    """The x of the sweep whose ln_fixed bracket misses its 1,024-bit ln."""
+    s = precision + GUARD_BITS
+    for x, ref in _ln_sweep():
+        lo, hi = ln_fixed(x, precision)
+        if not (mpf_le(from_man_exp(lo, -s), ref) and mpf_le(ref, from_man_exp(hi, -s))):
+            yield x
+
+
+@pytest.mark.parametrize("precision", LN_PRECISIONS)
+def test_log_bracket_contains_the_log_and_is_no_wider_than_one_ulp(precision):
+    # ln_fixed is sound on the sweep, at most 9k/4 + 12 ulps at S wide (its
+    # docstring), and never wider than one ulp of ln x at `precision` bits,
+    # the bracket that one directed mpf_log call gives
+    assert list(_ln_misses(precision)) == []
+    for x, _ in _ln_sweep():
+        lo, hi = ln_fixed(x, precision)
+        _, _, exp, bc = mpf_log(from_int(x), precision, round_floor)
+        assert 4 * (hi - lo) <= 9 * (x.bit_length() - 1) + 48, x
+        assert hi - lo <= 1 << (exp + bc + GUARD_BITS), x
+
+
+def _series_mutant(old: str, new: str):
+    """certified._atanh_fixed with the one source line `old` replaced by `new`."""
+    source = textwrap.dedent(inspect.getsource(certified._atanh_fixed))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(certified))
+    exec(compile(source.replace(old, new), "<mutant>", "exec"), namespace)
+    return "_atanh_fixed", namespace["_atanh_fixed"]
+
+
+def _tables_mutant(patch):
+    """certified._ln_tables with `patch` applied to a copy of (ln 2, levels 1 to 3)."""
+    tables = certified._ln_tables
+    return "_ln_tables", lambda w: patch(*tables(w))
+
+
+def _entry_upper_is_lower(ln2, t1, *tables):
+    t1 = list(t1)
+    t1[255] = (t1[255][0],) * 2  # 2^k - 1 reduces by this entry
+    return ln2, t1, *tables
+
+
+LN_MUTANTS = {
+    "series allowance 0": lambda: _series_mutant(
+        "return s, s + i - 1 + -(-9 * (u + 2) // (8 * i))", "return s, s"),
+    "last series term dropped": lambda: _series_mutant(
+        "s += u // i", "s += u // i if (u * z2 >> w) >> GUARD_BITS >= i + 2 else 0"),
+    "level-1 entry 255 upper end = lower end": lambda: _tables_mutant(_entry_upper_is_lower),
+    "ln 2 upper end = lower end": lambda: _tables_mutant(
+        lambda ln2, *tables: ((ln2[0], ln2[0]), *tables)),
+}
+
+
+@pytest.mark.parametrize("mutant", LN_MUTANTS)
+def test_the_log_sweep_catches_each_mutant(mutant, monkeypatch):
+    # the sweep above fails under each of these unsound variants of
+    # ln_fixed; the tables are cached per scale, so they are rebuilt
+    # under the mutant and again after it
+    name, function = LN_MUTANTS[mutant]()
+    certified._ln_tables.cache_clear()
+    monkeypatch.setattr(certified, name, function)
+    try:
+        assert any(next(_ln_misses(p), None) for p in LN_PRECISIONS)
+    finally:
+        monkeypatch.undo()
+        certified._ln_tables.cache_clear()

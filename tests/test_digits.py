@@ -23,6 +23,7 @@ from partdigits import (
     target_interval,
 )
 from partdigits.certified import DEFAULT_PRECISION, as_interval, inf, interval_context, sup
+from partdigits.digits import _log_below
 
 
 def test_digit_string_validation():
@@ -353,9 +354,9 @@ def test_log_value_interval_against_two_log_oracle(base, precision):
         assert sup(x) - inf(x) <= 2 * (sup(oracle) - inf(oracle)), value
         head, rem, _, _ = _leading_window(value, base, precision)
         if rem == 0:
-            # no 1/(head ln b) step: the width is one ulp of ln(head) at
-            # `precision` bits over ln b, and the guard bits keep the
-            # kernel's own roundings below 2^-16 of that
+            # no 1/(head ln b) step: the width is at most one ulp of
+            # ln(head) at `precision` bits over ln b, and the guard bits
+            # keep the kernel's own roundings below 2^-16 of that
             ulp = mp.mpf(2) ** (mpmath.frexp(sup(wide.log(head)))[1] - precision)
             assert sup(x) - inf(x) <= (1 + 2**-16) * ulp / sup(wide.log(base)), value
         fr = frac_log(value, base)
@@ -375,3 +376,15 @@ def test_one_power_head_matches_two_powers_at_power_boundaries(log_int_reference
                 for ours, less in ((log_value_interval, 0), (frac_log, None)):
                     ref = log_int_reference(value, base, less)
                     assert ours(value, base)._mpi_ == ref._mpi_, (base, value, less)
+
+
+def test_base_2_logs_take_the_bit_length(log_int_reference):
+    # _log_below is exact in base 2, so the head needs no fixup there;
+    # the enclosures still equal the two-power reference
+    rng = random.Random(2)
+    values = [rng.randrange(1, 2 ** rng.randint(1, 600)) for _ in range(2_000)]
+    for value in values:
+        assert _log_below(value, 2) == value.bit_length() - 1, value
+    for value in values[:300]:
+        for ours, less in ((log_value_interval, 0), (frac_log, None)):
+            assert ours(value, 2)._mpi_ == log_int_reference(value, 2, less)._mpi_, value
