@@ -8,6 +8,7 @@ import random
 import stat
 import struct
 import sys
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -161,6 +162,22 @@ def test_plane_blocks_match_per_n_convolution(pl_oracle, tmp_path):
         SequenceTable(SequenceKind.PLANE_PARTITION).extend(last).save(path)
         loaded = SequenceTable.load(path).extend(ORACLE_PL_MAX)
         assert [loaded[m] for m in range(ORACLE_PL_MAX + 1)] == pl_oracle, last
+
+
+def test_plane_table_matches_macmahons_product():
+    # sum PL(n) q^n = prod_{k>=1} (1 - q^k)^(-k), each factor multiplied in
+    # through its binomial series sum_j C(j + k - 1, j) q^(jk): an oracle
+    # that shares no code or formula with the engine's sigma2 convolution.
+    # 1,100 lies past the block products run at 1,024.
+    top = 1100
+    series = [1] + [0] * top
+    for k in range(1, top + 1):
+        binom = [1]  # C(j + k - 1, j) for j = 0..top // k
+        for j in range(1, top // k + 1):
+            binom.append(binom[-1] * (j + k - 1) // j)
+        series[k:] = [sum(map(mul, binom, series[n::-k])) for n in range(k, top + 1)]
+    table = SequenceTable(SequenceKind.PLANE_PARTITION).extend(top)
+    assert table.values(0, top + 1) == series
 
 
 def test_plane_budget_refusal_keeps_state(pl_oracle, tmp_path):
