@@ -113,7 +113,13 @@ def _atanh_fixed(t: int, w: int) -> tuple[int, int]:
 def _ln_tables(w: int) -> tuple[tuple[int, int], tuple, tuple, tuple]:
     """ln 2 and the tables of ln(1 + j/2^r), j < 256, for r = 8, 16 and 24,
     as brackets at scale w: each is 2 atanh(j/(2^(r+1) + j)), ln 2 at j =
-    2^r.  Filled by the first ln_fixed at that scale, not at import."""
+    2^r.  Below ln_fixed's w at SCALE they are that w's shifted down
+    outward: the kernel fills one set, on first use, not at import."""
+    if w < SCALE + 2 * GUARD_BITS:
+        d = SCALE + 2 * GUARD_BITS - w
+        down = lambda b: (b[0] >> d, -(-b[1] >> d))
+        ln2, *levels = _ln_tables(w + d)
+        return down(ln2), *(tuple(map(down, level)) for level in levels)
     def ln(j: int, q: int) -> tuple[int, int]:
         lo, hi = _atanh_fixed((j << w) // q, w)
         return 2 * lo, 2 * hi
@@ -138,11 +144,11 @@ def ln_fixed(x: int, precision: int) -> tuple[int, int]:
     integer d), and z from the integers x 2^48 and c 2^48 = d (2^24 + j3)
     2^k, d = (2^8 + j1)(2^16 + j2).
     Each term is a bracket at the working scale w = S + G, G = GUARD_BITS,
-    by _atanh_fixed (ln 2 and the tables cached per w), so their sum is
-    one; its ends shift down to S outward.  Error bound: k + 4 doubled
-    atanh brackets, each at most 2^G 9/4 + 2i + 2 ulps at w wide, i below
-    2^9 at w <= 2^9, and the two shifts make the result at most 9k/4 + 12
-    ulps at S wide for k < 2^20.
+    by _atanh_fixed (ln 2 and the tables cached, or shifted down from a
+    larger w, which is no wider), so their sum is one; its ends shift down
+    to S outward.  Error bound: k + 4 doubled atanh brackets, each at most
+    2^G 9/4 + 2i + 2 ulps at w wide, i below 2^9 at w <= 2^9, and the two
+    shifts make the result at most 9k/4 + 12 ulps at S wide for k < 2^20.
     """
     w = precision + 2 * GUARD_BITS
     (l2_lo, l2_hi), t1, t2, t3 = _ln_tables(w)

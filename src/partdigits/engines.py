@@ -11,40 +11,43 @@ plane partitions PL(n) from the divisor-power convolution
 with the division by n asserted exact (it is a theorem; a remainder means
 a bug, never something to round away).  The tests check p against the
 divisor-sum recurrence n p(n) = sum sigma(k) p(n-k) to n = 2000, PL
-against the per-n convolution to n = 3000, and both against brute-force
-enumeration on small n.  Between two pentagonal numbers the p terms of
-each sign are one sum(map(values.__getitem__, offsets)), added in C.
+against the per-n convolution to n = 3100 and MacMahon's product to 1100,
+and both against brute-force enumeration on small n.  Between two
+pentagonal numbers the p terms of each sign are one
+sum(map(values.__getitem__, offsets)), added in C.
 
 The PL convolution is computed online, in blocks (a relaxed product in
 the sense of van der Hoeven, "Relax, but don't be too lazy", 2002): the
 terms with k < 256 are summed per n, and every other term comes from a
 block product run once the block is complete, at the first n it
-contributes to: a leaf of 256 values by sigma2(256..511) at every
-multiple of 256, and tiles of 512 values by 512 sigma2 entries at every
-multiple of 512.  A block product is one multiplication of two
-Kronecker-packed `decimal.Decimal`s, 10^W per slot (Harvey, "Faster
+contributes to: squares of 256 and 512 values by sigma2(s..2s-1) at the
+multiples of their size s, and tiles of 1024 values by 1024 sigma2
+entries at every multiple of 1024.  A block product is one
+multiplication of two Kronecker-packed `decimal.Decimal`s, 10^W per slot
+written by str(int) and read back by int(str) (Harvey, "Faster
 polynomial multiplication via multipoint Kronecker substitution", 2009):
 libmpdec multiplies large operands with a number-theoretic transform,
 CPython's int with Karatsuba.  Its sums wait in a pending list of at
-most 1023 targets.  Building the PL table took 0.14 s to n = 2e3, 1.6 s
-to 6e3 and 33 s to 2e4, against 0.27 s, 3.0 s and 56 s for the per-n
-convolution (CPython 3.11, 2-core x86 VM, one after the other).
+most 2047 targets.  Building the PL table took 0.081 s to n = 2e3,
+0.63 s to 6e3 and 10.7 s to 2e4 (peak RSS 33.6 MB), against 0.089 s,
+0.85 s and 18.6 s (30.3 MB) with 512-tiles and Decimal(int) slots
+(scripts/time_engines.py, medians of 5 alternating rounds, CPython 3.11,
+2-core x86 VM).
 
 Tables grow lazily in chunks and account their memory against a byte
 budget; extension aborts with ResourceLimitError rather than thrash.
 
-A table saves to a cache file (format version 4): a header with the
+A table saves to a cache file (format version 5): a header with the
 entry count, the entries' estimated bytes and, for PL, the pending count
-and the pending sums' estimated bytes; the entries' frames and then the
-pending sums', each a uint32 width w and up to 256 records of w bytes; and
-a SHA-256 digest of everything before it, so a flipped bit anywhere is
-refused on load.  A loaded table is in the state the saved one was in.
-Loading checks the digest, the last entry's recurrence and, for PL, the
-pending sum for the last entry, charges the budget for every record at
-once and keeps the file's bytes: entries are parsed a frame at a time
-when first read.  A 24,001-entry p cache (1.1 MB) loaded in 1.5-1.9 ms
-and saved in 6.1-6.6 ms, against 2.1-2.9 ms and 10-17 ms for format 3
-(best of 15 calls, 2-core x86 VM, alternating with format 3).
+and the pending sums' estimated bytes; the header's SHA-256; the entries'
+frames and then the pending sums', each a uint32 width w and up to 256
+records of w bytes; and a SHA-256 of everything before it, so a flipped
+bit anywhere is refused on load.  Loading checks the header's digest,
+then its totals against the budget, then the whole digest, the last
+entry's recurrence and, for PL, the pending sum for the last entry.  It
+charges the budget for every record at once and keeps the file's bytes:
+entries are parsed a frame at a time when first read, the pending sums
+by the first extend or save.
 """
 from __future__ import annotations
 
@@ -64,24 +67,25 @@ BRUTE_FORCE_P_MAX = 40
 BRUTE_FORCE_PL_MAX = 12
 
 _CACHE_MAGIC = b"PDTB"
-_CACHE_VERSION = 4
+_CACHE_VERSION = 5
 # magic, version, kind (1 = p, 2 = pl), reserved, entry count, the
 # entries' estimated bytes (the sum of _int_size over them), the pending
 # count and the pending sums' estimated bytes
 _CACHE_HEADER = struct.Struct("<4sHBBQQQQ")
-_DIGEST_SIZE = 32  # SHA-256 of everything before it
+_DIGEST_SIZE = 32  # SHA-256, of the header after it and of everything before it at the end
 # Records are stored in frames of this many, each frame's records at one
 # width; a loaded table parses its entries a frame at a time, when first read.
 _PARSE_CHUNK = 256
 
 # Blocked plane-partition convolution: terms sigma2(k) * PL(n-k) with
-# k < _LEAF are summed per n; the rest come from block products, a leaf of
-# _LEAF values at every multiple of _LEAF and tiles of _TILE values at every
-# multiple of _TILE.  _TILE bounds the pending lookahead (2*_TILE - 1
-# targets) and the size of one product.  The cache stores the pending sums,
-# which depend on _LEAF: changing it must bump _CACHE_VERSION.
+# k < _LEAF are summed per n; the rest come from block products, squares of
+# _LEAF and 2*_LEAF values at the multiples of their size and tiles of
+# _TILE values at every multiple of _TILE.  _TILE bounds the pending
+# lookahead (2*_TILE - 1 targets) and the size of one product.  The cache
+# stores the pending sums, laid out by this schedule: changing it must bump
+# _CACHE_VERSION.
 _LEAF = 256
-_TILE = 2 * _LEAF
+_TILE = 4 * _LEAF
 
 # Exact for any operands: libmpdec sizes a product by its operands, and the
 # trap turns a rounding, which would be a bug, into an exception.
@@ -202,22 +206,22 @@ def _convolve(sig: list[int], vals: list[int], n: int, terms: int) -> int:
 def _pack(values: list[int], width: int) -> Decimal:
     """sum of values[i] * 10^(width*i), exactly; each value must be below 10^width.
 
-    Goes through Decimal(int), never str(int), so values longer than
-    sys.get_int_max_str_digits() pack as well.
+    A slot goes through str(int) while width is within
+    sys.get_int_max_str_digits() (read on each call; 0 is no limit), and
+    through Decimal(int) beyond it, so wider values pack as well.
     """
-    return Decimal("".join([str(Decimal(v)).zfill(width) for v in reversed(values)]))
+    text = str if width <= (sys.get_int_max_str_digits() or width) else lambda v: str(Decimal(v))
+    return Decimal("".join([text(v).zfill(width) for v in reversed(values)]))
 
 
 def _unpack(packed: Decimal, width: int) -> list[int]:
     """The base-10^width digits of a non-negative integral Decimal, least significant first.
 
-    Each digit goes through int(Decimal), not int(str), for the same reason.
+    Each digit goes through int(str), or int(Decimal) past the limit as in _pack.
     """
+    parse = int if width <= (sys.get_int_max_str_digits() or width) else lambda d: int(Decimal(d))
     digits = str(packed)
-    return [
-        int(Decimal(digits[max(end - width, 0) : end]))
-        for end in range(len(digits), 0, -width)
-    ]
+    return [parse(digits[max(end - width, 0) : end]) for end in range(len(digits), 0, -width)]
 
 
 class SequenceTable:
@@ -328,8 +332,8 @@ class SequenceTable:
             raise ValueError(f"extend requires n >= 0, got {n}")
         if n <= self.last_index:
             return self
-        if self._unparsed_chunks:
-            self._parse_all()  # the recurrences read every earlier entry
+        if self._raw is not None:
+            self._parse_all()  # the recurrences read every earlier entry, PL its pending sums
         if self.kind is SequenceKind.PARTITION:
             self._extend_partition(n)
         else:
@@ -393,17 +397,17 @@ class SequenceTable:
     def _block_products(self, m: int) -> list[int]:
         """Coefficients, for targets m, m+1, ..., of the block products run at m.
 
-        At m, a multiple of _LEAF, the products are the leaf
-        values[m-_LEAF:m] times sigma2[_LEAF:_TILE] and, when _TILE divides
-        m, the tiles values[m-k:m-k+_TILE] times sigma2[k:k+_TILE] for
-        k = _TILE, 2*_TILE, ..., m.  Together with the per-n terms k < _LEAF
+        At m, a multiple of _LEAF, the products are values[m-s:m] times
+        sigma2[s:2s] for s = _LEAF and s = 2*_LEAF, each when s divides m,
+        and, when _TILE divides m, the tiles values[m-k:m-k+_TILE] times
+        sigma2[k:k+_TILE] for k = _TILE, 2*_TILE, ..., m.  Together with the per-n terms k < _LEAF
         they cover every (j, k) exactly once.  All products are
         Kronecker-packed with one slot width and summed before a single
         unpacking.
         """
         vals = self._values
         sig = self._sigma2
-        blocks = [(m - _LEAF, _LEAF, _LEAF)]  # (first value, first sigma2 entry, length)
+        blocks = [(m - s, s, s) for s in (_LEAF, 2 * _LEAF) if m % s == 0]  # (value, sigma2, size)
         if m % _TILE == 0:
             blocks.extend((m - k, k, _TILE) for k in range(_TILE, m + 1, _TILE))
         # A coefficient sums at most m terms, each below PL(m-1) * 2(m+_TILE)^2
@@ -420,9 +424,10 @@ class SequenceTable:
     # -- cache ----------------------------------------------------------
 
     def save(self, path) -> None:
-        """Write the table to a cache file, format version 4.
+        """Write the table to a cache file, format version 5.
 
-        After the header come the entries' frames, then the pending sums'.
+        After the header and its SHA-256 come the entries' frames, then the
+        pending sums'.
         A frame is _PARSE_CHUNK records (the last of its kind may be fewer):
         a uint32 width w, the byte length of its largest record, then each
         record in w little-endian bytes.  A SHA-256 of all that ends the
@@ -446,10 +451,11 @@ class SequenceTable:
                     digest.update(blob)
                     fh.write(blob)
 
-                write(_CACHE_HEADER.pack(
+                header = _CACHE_HEADER.pack(
                     _CACHE_MAGIC, _CACHE_VERSION, kind_code, 0, len(self._values),
                     self._entry_bytes, len(self._pending), self._pending_bytes,
-                ))
+                )
+                write(header + hashlib.sha256(header).digest())
                 for records in (self._values, self._pending):
                     for lo in range(0, len(records), _PARSE_CHUNK):
                         frame = records[lo : lo + _PARSE_CHUNK]
@@ -469,12 +475,13 @@ class SequenceTable:
         memory_budget: int | None = None,
         expect_kind: SequenceKind | None = None,
     ) -> "SequenceTable":
-        """Load a cache file, verifying its digest and last entry (for PL, with its pending sum).
+        """Load a cache file, verifying its digests and last entry (for PL, with its pending sum).
 
-        One walk over the frames finds each one's records and width.  The
-        pending sums are parsed here, the entries a frame at a time as they
-        are read; the budget is charged for all of them here, from the
-        header's totals.
+        The header's digest is checked before its totals meet the budget,
+        and the body is hashed after.  One walk over the frames finds each
+        one's records and width.  The entries are parsed a frame at a time
+        as they are read, the pending sums by the first extend or save; the
+        budget is charged for all of them here, from the header's totals.
         """
         import hashlib
 
@@ -490,12 +497,9 @@ class SequenceTable:
                 f"{path}: unsupported version {version} (this program reads version "
                 f"{_CACHE_VERSION}); delete the file and the next run rebuilds it"
             )
-        body = len(data) - _DIGEST_SIZE
-        if (
-            body < _CACHE_HEADER.size
-            or hashlib.sha256(memoryview(data)[:body]).digest() != data[body:]
-        ):
-            raise CacheFormatError(f"{path}: checksum mismatch (corrupt or truncated file)")
+        head = _CACHE_HEADER.size + _DIGEST_SIZE
+        if data[_CACHE_HEADER.size : head] != hashlib.sha256(data[: _CACHE_HEADER.size]).digest():
+            raise CacheFormatError(f"{path}: header checksum mismatch (corrupt or truncated file)")
         (_, _, kind_code, _, count, entry_bytes, pending_count,
          pending_bytes) = _CACHE_HEADER.unpack_from(data)
         if kind_code not in (1, 2):
@@ -514,7 +518,13 @@ class SequenceTable:
             pending_ok = pending_count > last % _LEAF
         if not pending_ok:
             raise CacheFormatError(f"{path}: pending sums do not fit a {count}-entry table")
-        frames, pos = [], _CACHE_HEADER.size
+        table = cls(kind, memory_budget=memory_budget)
+        if entry_bytes + pending_bytes > table.memory_budget:
+            raise ResourceLimitError(f"{path}: cached table exceeds the memory budget")
+        body = len(data) - _DIGEST_SIZE
+        if body < head or hashlib.sha256(memoryview(data)[:body]).digest() != data[body:]:
+            raise CacheFormatError(f"{path}: checksum mismatch (corrupt or truncated file)")
+        frames, pos = [], head
         for total in (count, pending_count):
             for lo in range(0, total, _PARSE_CHUNK):
                 w = int.from_bytes(data[pos : pos + 4], "little")
@@ -524,15 +534,12 @@ class SequenceTable:
                 frames.append((start, pos, w))
         if pos != body:
             raise CacheFormatError(f"{path}: frames end at byte {pos}, the digest at {body}")
-        table = cls(kind, memory_budget=memory_budget)
-        if entry_bytes + pending_bytes > table.memory_budget:
-            raise ResourceLimitError(f"{path}: cached table exceeds the memory budget")
         table._values = [None] * count
         table._bytes = entry_bytes + pending_bytes
         table._pending_bytes = pending_bytes
         table._raw, table._frames = data, frames
         table._unparsed_chunks = -(-count // _PARSE_CHUNK)
-        table._pending = [v for f in frames[table._unparsed_chunks :] for v in table._decode(f)]
+        table._pending = None if pending_count else []
         if table._record(0) != 1:
             raise CacheFormatError(f"{path}: entry 0 is {table._record(0)}, expected 1")
         table._verify_last_entry()
@@ -548,23 +555,27 @@ class SequenceTable:
         ]
 
     def _record(self, n: int) -> int:
-        """Entry n of a loaded table, read without parsing."""
+        """Record n of a loaded table, read without parsing (past the entries', a pending sum's)."""
         i = n % _PARSE_CHUNK
         return self._decode(self._frames[n // _PARSE_CHUNK], i, i + 1)[0]
 
     def _parse_chunk(self, n: int) -> None:
-        """Parse the frame of entries that holds entry n; drop the file once none is left."""
+        """Parse the frame of entries that holds entry n; drop the file once nothing is left."""
         lo = n - n % _PARSE_CHUNK
         self._values[lo : lo + _PARSE_CHUNK] = self._decode(self._frames[n // _PARSE_CHUNK])
         self._unparsed_chunks -= 1
-        if not self._unparsed_chunks:
+        if not self._unparsed_chunks and self._pending is not None:
             self._raw = self._frames = None
 
     def _parse_all(self) -> None:
-        """Parse every entry left."""
+        """Parse every entry left and a loaded table's pending sums; drop the file."""
+        if self._pending is None:
+            entry_frames = -(-len(self._values) // _PARSE_CHUNK)
+            self._pending = [v for f in self._frames[entry_frames:] for v in self._decode(f)]
         for lo in range(0, len(self._values), _PARSE_CHUNK):
             if self._values[lo] is None:
                 self._parse_chunk(lo)
+        self._raw = self._frames = None
 
     def _verify_last_entry(self) -> None:
         """Recompute a loaded table's last entry from the entries before it.
@@ -572,7 +583,8 @@ class SequenceTable:
         For p that reads the ~2 sqrt(2n/3) pentagonal predecessors from
         their records; the PL convolution reads every entry, so it parses
         all of them.  A PL table from n = _LEAF on also checks its pending
-        sum for n: with the per-n terms below _LEAF it must make n * PL(n).
+        sum for n, the one pending record it reads: with the per-n terms
+        below _LEAF it must make n * PL(n).
         """
         n = self.last_index
         if n < 1:
@@ -583,20 +595,17 @@ class SequenceTable:
             expected = sum(sign * record(n - g) for g, sign in self._pent if g <= n)
             actual = record(n)
         else:
-            self._parse_all()
-            vals = self._values
+            vals = self.values(0, n + 1)
             self._grow_sigma2(n)
             expected, r = divmod(_convolve(self._sigma2, vals, n, n), n)
             if r:
                 raise CacheFormatError(f"corrupt cache: convolution remainder at n = {n}")
             actual = vals[n]
         if actual != expected:
-            raise CacheFormatError(
-                f"corrupt cache: entry {n} fails its recurrence check"
-            )
+            raise CacheFormatError(f"corrupt cache: entry {n} fails its recurrence check")
         if self.kind is SequenceKind.PLANE_PARTITION and n >= _LEAF:
-            stored = self._pending[n % _LEAF]
-            if _convolve(self._sigma2, self._values, n, _LEAF - 1) + stored != n * actual:
+            stored = self._record(-(-len(vals) // _PARSE_CHUNK) * _PARSE_CHUNK + n % _LEAF)
+            if _convolve(self._sigma2, vals, n, _LEAF - 1) + stored != n * actual:
                 raise CacheFormatError(
                     f"corrupt cache: the pending sum for target {n} fails its check"
                 )

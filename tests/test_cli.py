@@ -547,16 +547,16 @@ def test_a_run_refused_by_its_budget_saves_what_it_built(tmp_path, capsys, monke
     census = ("census", "--kind", "pl", "--base", "10", "--t", "1")
     cached = (*census, "--cache", str(tmp_path))
     code, _, err = _run(capsys, *cached, "--limit", "3000", "--memory-budget", "256K")
-    assert code == EXIT_RESOURCE and "at n = 1554" in err
-    assert SequenceTable.load(tmp_path / "pl.table").last_index == 1553
+    assert code == EXIT_RESOURCE and "at n = 1024" in err
+    assert SequenceTable.load(tmp_path / "pl.table").last_index == 1023
 
     def rebuild(*args):
         raise AssertionError("the run rebuilt entries the cache holds")
 
     monkeypatch.setattr(SequenceTable, "_extend_plane", rebuild)
-    code, out, _ = _run(capsys, *cached, "--limit", "1553")
+    code, out, _ = _run(capsys, *cached, "--limit", "1023")
     monkeypatch.undo()
-    assert (code, out) == _run(capsys, *census, "--limit", "1553")[:2]
+    assert (code, out) == _run(capsys, *census, "--limit", "1023")[:2]
 
 
 def test_a_census_past_what_the_budget_can_hold_is_refused_up_front(capsys, monkeypatch):

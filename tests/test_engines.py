@@ -26,7 +26,7 @@ import partdigits.engines as engines
 from partdigits.engines import _CACHE_VERSION, _EXACT, _LEAF, _TILE, _convolve, _pack, _unpack
 
 ORACLE_P_MAX = 2000
-ORACLE_PL_MAX = 3000
+ORACLE_PL_MAX = 3100
 
 P_FIRST = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
 PL_FIRST = [1, 1, 3, 6, 13, 24, 48, 86, 160, 282, 500]
@@ -151,9 +151,10 @@ def pl_oracle() -> list[int]:
 
 def test_plane_blocks_match_per_n_convolution(pl_oracle, tmp_path):
     # irregular steps cross the per-n leaf (256), the block products at
-    # multiples of 256 and the tiles that start at 1024
+    # multiples of 256 and 512, the tiles that start at 1024, and 3072,
+    # where three tiles run at once
     table = SequenceTable(SequenceKind.PLANE_PARTITION)
-    for n in (1, 127, 128, 255, 256, 257, 511, 513, 1024, 1537, ORACLE_PL_MAX):
+    for n in (1, 127, 128, 255, 256, 257, 511, 513, 1024, 1537, 3072, 3073, ORACLE_PL_MAX):
         table.extend(n)
         assert [table[m] for m in range(n + 1)] == pl_oracle[: n + 1], n
     # a loaded table extends from the pending block sums stored with it
@@ -216,6 +217,21 @@ def test_pack_unpack_beyond_str_digit_limit():
         for t in range(len(a) + len(b) - 1)
     ]
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_pack_unpack_read_the_str_digit_limit_on_each_call():
+    # a slot within the limit goes through str and int, one past it through
+    # Decimal, and 0 means no limit: 700 digits past a limit of 640, 5200
+    # with none, and 640 at the limit
+    default = sys.get_int_max_str_digits()
+    rng = random.Random(7)
+    try:
+        for limit, width in ((640, 700), (0, 5200), (640, 640)):
+            sys.set_int_max_str_digits(limit)
+            values = [rng.getrandbits(width * 3) for _ in range(4)]  # under 10^width
+            assert _unpack(_pack(values, width), width) == values, (limit, width)
+    finally:
+        sys.set_int_max_str_digits(default)
 
 
 def test_monotonicity(p_table, pl_table):
@@ -395,24 +411,25 @@ def test_cache_budget_enforced_on_load(tmp_path):
         SequenceTable.load(path, memory_budget=1024)
 
 
-# Cache format version 4: magic, version, kind, reserved, entry count, the
+# Cache format version 5: magic, version, kind, reserved, entry count, the
 # entries' estimated bytes, the pending count and the pending sums'
-# estimated bytes; the frames of the entries, then those of the pending
-# sums, each a uint32 width w and then up to 256 records of w bytes; the
-# SHA-256 digest of everything before it.
-V4_HEADER = "<4sHBBQQQQ"
+# estimated bytes; the SHA-256 digest of that header; the frames of the
+# entries, then those of the pending sums, each a uint32 width w and then
+# up to 256 records of w bytes; the SHA-256 digest of everything before it.
+V5_HEADER = "<4sHBBQQQQ"
+V5_HEAD = struct.calcsize(V5_HEADER)  # the header's digest follows it
 
 
 def _record_span(raw: bytes, i: int) -> tuple[int, int]:
-    """Start and end, in a version 4 cache file, of record i.
+    """Start and end, in a version 5 cache file, of record i.
 
     Records 0..count-1 are the entries, the ones after them the pending
     sums, whose first frame follows the entries' last.  A frame's uint32
     width is the 4 bytes before its first record.
     """
-    fields = struct.unpack_from(V4_HEADER, raw)
+    fields = struct.unpack_from(V5_HEADER, raw)
     count = fields[4]
-    frames, pos = [], struct.calcsize(V4_HEADER)  # (first record, width) of each frame
+    frames, pos = [], V5_HEAD + 32  # (first record, width) of each frame
     for total in (count, fields[6]):
         for lo in range(0, total, 256):
             (width,) = struct.unpack_from("<I", raw, pos)
@@ -425,6 +442,7 @@ def _record_span(raw: bytes, i: int) -> tuple[int, int]:
 
 
 def _redigest(raw: bytearray) -> bytearray:
+    raw[V5_HEAD : V5_HEAD + 32] = hashlib.sha256(raw[:V5_HEAD]).digest()
     raw[-32:] = hashlib.sha256(raw[:-32]).digest()
     return raw
 
@@ -446,6 +464,27 @@ def test_cache_refuses_a_flipped_bit_in_the_middle(tmp_path, kind, count):
             SequenceTable.load(path)
 
 
+def test_cache_refuses_an_over_budget_file_from_its_checked_header(tmp_path):
+    # the header's totals are compared with the budget once its own digest
+    # holds, before the body is hashed or walked: a refusal does not depend
+    # on the body, but a header that fails its digest is never trusted
+    path = tmp_path / "p.table"
+    SequenceTable(SequenceKind.PARTITION).extend(3000).save(path)
+    raw = bytearray(path.read_bytes())
+    start, _ = _record_span(raw, 1500)
+    raw[start] ^= 0x04  # the body no longer matches the trailing digest
+    path.write_bytes(raw)
+    with pytest.raises(ResourceLimitError):
+        SequenceTable.load(path, memory_budget=1024)
+    with pytest.raises(CacheFormatError, match="checksum mismatch"):
+        SequenceTable.load(path)
+    raw[20] ^= 0x01  # a bit of the entries' estimated bytes, in the header
+    path.write_bytes(raw)
+    for budget in (1024, None):
+        with pytest.raises(CacheFormatError, match="header checksum mismatch"):
+            SequenceTable.load(path, memory_budget=budget)
+
+
 def test_cache_refuses_version_1(tmp_path):
     values = [1, 1, 2, 3, 5]
     # the unchecked format before digests: header, then (length, payload) per entry
@@ -463,8 +502,13 @@ def test_cache_refuses_version_1(tmp_path):
     v3 = struct.pack("<4sHBBQQQQQ", b"PDTB", 3, 1, 0, len(values), entry_bytes, 0, 0, 0)
     v3 += struct.pack(f"<{len(values)}I", *[1] * len(values)) + bytes(values)
     v3 += hashlib.sha256(v3).digest()
+    # version 4, with frames: the header without its own digest, one frame
+    # of a uint32 width and five 1-byte records, the digest
+    v4 = struct.pack("<4sHBBQQQQ", b"PDTB", 4, 1, 0, len(values), entry_bytes, 0, 0)
+    v4 += struct.pack("<I", 1) + bytes(values)
+    v4 += hashlib.sha256(v4).digest()
     path = tmp_path / "p.table"
-    for version, blob in ((1, v1), (2, v2), (3, v3)):
+    for version, blob in ((1, v1), (2, v2), (3, v3), (4, v4)):
         path.write_bytes(blob)
         with pytest.raises(CacheFormatError, match=f"version {version}.*delete the file"):
             SequenceTable.load(path)
@@ -474,11 +518,13 @@ def test_cache_stores_pending_sums_parsed_on_extension(tmp_path):
     path = tmp_path / "pl.table"
     table = SequenceTable(SequenceKind.PLANE_PARTITION).extend(299)
     table.save(path)
-    fields = struct.unpack_from(V4_HEADER, path.read_bytes())
+    fields = struct.unpack_from(V5_HEADER, path.read_bytes())
     assert fields[6:] == (len(table._pending), table._pending_bytes)
     loaded = SequenceTable.load(path)
-    # the load parses every entry to check the last one, and every pending sum
-    assert loaded._pending == table._pending and loaded._unparsed_chunks == 0
+    # the load parses every entry to check the last one, but no pending sum:
+    # it reads the one for the last entry from its record, and keeps the file
+    assert loaded._pending is None and loaded._unparsed_chunks == 0
+    assert loaded._raw is not None
     sieve = 299 * (sys.getsizeof(0) + 8)  # sigma2(1..299), read by that check
     assert loaded.estimated_bytes == table._entry_bytes + table._pending_bytes + sieve
     loaded.extend(300)
@@ -495,7 +541,7 @@ def test_cache_refuses_a_wrong_pending_sum_for_the_last_entry(tmp_path):
     path.write_bytes(_redigest(bytearray(raw)))
     SequenceTable.load(path)  # re-digesting alone is accepted
     short = bytearray(raw)
-    struct.pack_into("<Q", short, struct.calcsize(V4_HEADER) - 16, 299 % 256)  # pending count
+    struct.pack_into("<Q", short, V5_HEAD - 16, 299 % 256)  # pending count
     path.write_bytes(_redigest(short))
     with pytest.raises(CacheFormatError, match="pending sums do not fit"):
         SequenceTable.load(path)
@@ -517,9 +563,9 @@ def _flip_low_bit(i):
 
 def _set_header_field(i, value):
     def edit(raw: bytearray) -> None:
-        fields = list(struct.unpack_from(V4_HEADER, raw))
+        fields = list(struct.unpack_from(V5_HEADER, raw))
         fields[i] = value
-        struct.pack_into(V4_HEADER, raw, 0, *fields)
+        struct.pack_into(V5_HEADER, raw, 0, *fields)
 
     return edit
 
@@ -548,7 +594,7 @@ def _append_a_byte(raw: bytearray) -> None:
         ("p", 50, _set_header_field(4, 10**6), "frame 0 of width 3 does not fit"),
         ("p", 600, _set_width(256, 0), "frame 1 of width 0 does not fit"),
         ("p", 600, _set_width(256, 2**32 - 1), "frame 1 of width 4294967295 does not fit"),
-        ("p", 600, _append_a_byte, "frames end at byte 5038, the digest at 5039"),
+        ("p", 600, _append_a_byte, "frames end at byte 5070, the digest at 5071"),
         ("p", 50, _flip_low_bit(0), "entry 0 is 0, expected 1"),
     ],
     ids=["p-recurrence", "pl-recurrence", "pl-remainder", "kind", "empty",
@@ -568,7 +614,7 @@ def test_cache_refuses_a_redigested_file(tmp_path, kind, last, edit, message):
 def test_tile_scheme_is_pinned_to_the_cache_version():
     # the cache stores pending sums laid out by the tile scheme: a change to
     # _LEAF or _TILE must come with a new _CACHE_VERSION, and this test with it
-    assert (_LEAF, _TILE, _CACHE_VERSION) == (256, 512, 4)
+    assert (_LEAF, _TILE, _CACHE_VERSION) == (256, 1024, 5)
 
 
 def test_product_schedule_is_pinned_by_its_pending_sums():
@@ -579,7 +625,7 @@ def test_product_schedule_is_pinned_by_its_pending_sums():
     table = SequenceTable(SequenceKind.PLANE_PARTITION).extend(1100)
     state = repr(([table[n] for n in range(1101)], table._pending)).encode()
     assert hashlib.sha256(state).hexdigest() == (
-        "33d1c8555476c0625aa30cc3200690061da5eba808a4e597d63a75787a9d7b03"
+        "6b0902bdde146d84338a256dc55fa04eeed20705cd8c80243e3e97b96626542a"
     )
 
 
@@ -641,13 +687,13 @@ def test_loaded_budget_is_exact_and_charged_up_front(tmp_path):
     pl.save(tmp_path / "pl")
     pl_entries = sum(sys.getsizeof(pl[n]) + 8 for n in range(1101))
     pl_pending = sum(sys.getsizeof(v) + 8 for v in pl._pending)
-    fields = struct.unpack_from(V4_HEADER, (tmp_path / "pl").read_bytes())
+    fields = struct.unpack_from(V5_HEADER, (tmp_path / "pl").read_bytes())
     assert (fields[5], fields[7]) == (pl_entries, pl_pending)
     path = tmp_path / "p"
     table = SequenceTable(SequenceKind.PARTITION).extend(2500)
     table.save(path)
     entries = sum(sys.getsizeof(table[n]) + 8 for n in range(2501))
-    assert struct.unpack_from(V4_HEADER, path.read_bytes())[5] == entries
+    assert struct.unpack_from(V5_HEADER, path.read_bytes())[5] == entries
     assert SequenceTable.load(path).estimated_bytes == entries
     with pytest.raises(ResourceLimitError):
         SequenceTable.load(path, memory_budget=entries - 1)
