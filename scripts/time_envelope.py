@@ -66,37 +66,68 @@ def _round() -> dict[str, float]:
     return timings
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+def make_parser(doc: str, rounds: int) -> argparse.ArgumentParser:
+    """The options of a timing script: `--src` (at most twice), `--rounds`, and the hidden `--worker`."""
+    parser = argparse.ArgumentParser(description=doc.split("\n\n")[0])
     parser.add_argument("--src", action="append", type=Path,
                         help="tree to import partdigits from; give it twice to compare two")
-    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--rounds", type=int, default=rounds)
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    return parser
+
+
+def trees(parser: argparse.ArgumentParser, args) -> list[Path]:
+    """The `--src` trees to time, one or two; by default the `src` next to this script."""
+    srcs = [src.resolve() for src in args.src or [Path(__file__).resolve().parent.parent / "src"]]
+    if len(srcs) > 2:
+        parser.error("--src may be given at most twice")
+    return srcs
+
+
+def run_rounds(script: str, srcs: list[Path], rounds: int, jobs=((),)) -> dict[Path, list[dict]]:
+    """Each tree's rounds, alternating between the trees.  Per round and tree,
+    each job runs `script --worker *job` in a fresh interpreter that imports
+    partdigits from the tree, and the JSON objects they print merge into
+    that round's record."""
+    runs = {src: [] for src in srcs}
+    for _ in range(rounds):
+        for src in srcs:
+            record = {}
+            for job in jobs:
+                out = subprocess.run([sys.executable, script, "--worker", *job],
+                                     env={**os.environ, "PYTHONPATH": str(src)},
+                                     capture_output=True, text=True, check=True)
+                record.update(json.loads(out.stdout))
+            runs[src].append(record)
+    return runs
+
+
+def print_medians(runs: dict[Path, list[dict]], layers, digits: int = 2) -> None:
+    """Best and median of each layer per tree and, for a second tree, its median over the first's."""
+    srcs = list(runs)
+    width = max(9, *map(len, layers))
+    medians = {}
+    for src, rounds in runs.items():
+        print(src)
+        for layer in layers:
+            samples = [r[layer] for r in rounds]
+            medians[src, layer] = statistics.median(samples)
+            line = (f"  {layer:{width}s} best {min(samples):7.{digits}f}"
+                    f"  median {medians[src, layer]:7.{digits}f}")
+            if len(srcs) == 2 and src == srcs[1]:
+                line += f"  x{medians[src, layer] / medians[srcs[0], layer]:.3f}"
+            print(line)
+
+
+def main(argv=None) -> int:
+    parser = make_parser(__doc__, rounds=5)
     args = parser.parse_args(argv)
     if args.worker:
         print(json.dumps(_round()))
         return 0
-    srcs = [src.resolve() for src in args.src or [Path(__file__).resolve().parent.parent / "src"]]
-    if len(srcs) > 2:
-        parser.error("--src may be given at most twice")
-    runs = {src: [] for src in srcs}
-    for _ in range(args.rounds):
-        for src in srcs:
-            out = subprocess.run([sys.executable, __file__, "--worker"],
-                                 env={**os.environ, "PYTHONPATH": str(src)},
-                                 capture_output=True, text=True, check=True)
-            runs[src].append(json.loads(out.stdout))
+    runs = run_rounds(__file__, trees(parser, args), args.rounds)
     print(f"µs per n over p({START}..{START + COUNT - 1}), base {BASE}, {args.rounds} rounds")
-    medians = {}
-    for src, rounds in runs.items():
-        print(src)
-        for layer in LAYERS:
-            samples = [r[layer] for r in rounds]
-            medians[src, layer] = statistics.median(samples)
-            line = f"  {layer:9s} best {min(samples):7.2f}  median {medians[src, layer]:7.2f}"
-            if len(srcs) == 2 and src == srcs[1]:
-                line += f"  x{medians[src, layer] / medians[srcs[0], layer]:.3f}"
-            print(line)
+    print_medians(runs, LAYERS)
     return 0
 
 

@@ -347,6 +347,22 @@ def test_log_bracket_contains_the_log_and_is_no_wider_than_one_ulp(precision):
         assert hi - lo <= 1 << (exp + bc + GUARD_BITS), x
 
 
+def test_ln_tables_contain_their_logs_at_the_kernels_two_scales():
+    # the tables at ln_fixed's w for 192 bits are its w for SCALE's shifted
+    # down outward; every bracket must hold its ln at both, which the sweep
+    # above cannot see, since ln_fixed's last shift by GUARD_BITS absorbs
+    # a one-ulp inward rounding in a table
+    refs = [mpf_log(from_int(2), 1024)]
+    refs += [mpf_log(from_man_exp(2**r + j, -r), 1024) for r in (8, 16, 24) for j in range(256)]
+    for precision in (DEFAULT_PRECISION, SCALE):
+        w = precision + 2 * GUARD_BITS
+        ln2, *levels = certified._ln_tables(w)
+        brackets = [ln2, *(bracket for level in levels for bracket in level)]
+        assert len(brackets) == len(refs)
+        for i, ((lo, hi), ref) in enumerate(zip(brackets, refs)):
+            assert mpf_le(from_man_exp(lo, -w), ref) and mpf_le(ref, from_man_exp(hi, -w)), (w, i)
+
+
 def _series_mutant(old: str, new: str):
     """certified._atanh_fixed with the one source line `old` replaced by `new`."""
     source = textwrap.dedent(inspect.getsource(certified._atanh_fixed))
