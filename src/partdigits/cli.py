@@ -6,7 +6,6 @@ import contextlib
 import csv
 import json
 import os
-import random
 import sys
 from fractions import Fraction
 from functools import cache
@@ -21,21 +20,18 @@ from .asymptotics import (
     horizon_precision,
     instantiate_p,
     instantiate_pl,
-    log_p_estimate,
-    log_pl_estimate,
+    log_p_estimate,  # not called here: bench/tracer.py wraps cli.log_p_estimate
+    log_pl_estimate,  # not called here: bench/tracer.py wraps cli.log_pl_estimate
     theorem_bound,
 )
-from .certified import DEFAULT_PRECISION, as_interval, inf, interval_context, sup
-from .digits import DigitString, frac_log, leading_digits, log_value_interval, target_interval
-from .engines import (
-    DEFAULT_MEMORY_BUDGET,
-    ResourceLimitError,
-    SequenceKind,
-    SequenceTable,
-    brute_force_p,
-    brute_force_pl,
-    sigma2,
+from .certified import DEFAULT_PRECISION, as_interval, interval_context
+from .digits import (
+    DigitString,
+    leading_digits,  # not called here: bench/tracer.py wraps cli.leading_digits
+    log_value_interval,  # not called here: bench/tracer.py wraps cli.log_value_interval
+    target_interval,  # not called here: bench/tracer.py wraps cli.target_interval
 )
+from .engines import DEFAULT_MEMORY_BUDGET, ResourceLimitError, SequenceKind, SequenceTable, sigma2
 from .framework import compute_bounds, find_m_a_delta
 from .search import (
     SearchResult,
@@ -387,71 +383,26 @@ def _cmd_census(args) -> int:
 # -- selftest -------------------------------------------------------------
 
 def _selftest_checks():
-    checks = []
+    from . import checks  # imported here, so that no other command pays for it
 
-    p_table = SequenceTable(SequenceKind.PARTITION)
-    p_table.extend(1500)
-    checks.append((
-        "partition-recurrence-vs-enumeration",
-        all(p_table[n] == brute_force_p(n) for n in range(16)),
-    ))
-    # Ramanujan: p(5k+4) = 0 mod 5, p(7k+5) = 0 mod 7, p(11k+6) = 0 mod 11
-    checks.append(("partition-ramanujan-congruences", all(
-        p_table[n] % m == 0 for m, r in ((5, 4), (7, 5), (11, 6)) for n in range(r, 1501, m)
-    )))
-
-    pl_table = SequenceTable(SequenceKind.PLANE_PARTITION)
-    pl_table.extend(2960)
-    checks.append((
-        "plane-recurrence-vs-enumeration",
-        all(pl_table[n] == brute_force_pl(n) for n in range(9)),
-    ))
-
-    # the sieve the pl engine multiplies with, against divisor-pair enumeration
-    checks.append((
-        "sigma2-vs-divisor-sieve",
-        all(pl_table._sigma2[k] == sigma2(k) for k in range(1, 301)),
-    ))
-
-    checks.append(("partition-log-envelope", all(
-        log_p_estimate(n, b).contains(log_value_interval(p_table[n], b))
-        for b in (2, 10) for n in range(4, 1501)
-    )))
-    checks.append(("plane-log-envelope", all(
-        log_pl_estimate(n, 10).contains(log_value_interval(pl_table[n], 10))
-        for n in range(PL_VALID_FROM, 2961)
-    )))
-
-    ctx = interval_context(DEFAULT_PRECISION)
-    checks.append(("log-doubling-inequality", all(
-        sup(abs(ctx.log(1 + x))) <= inf(2 * abs(x))
-        for x in (ctx.mpf(k) / 1024 for k in range(-512, 513))
-    )))
-
-    # the certified window alone: never the opposite of extraction, undecided only at f b^z
-    rng = random.Random(20260816)
-    ok = True
-    for _ in range(300):
-        b = rng.randint(2, 16)
-        t = rng.randint(2 if b == 2 else 1, 3)
-        f = DigitString(b, t, rng.randint(b ** (t - 1), b**t - 1))
-        window = target_interval(f)
-        z = rng.randint(0, 8)
-        lo, hi = f.value * b**z, (f.value + 1) * b**z - 1
-        for n in (lo, hi, rng.randint(lo, hi), lo - 1):
-            if n < b ** (t - 1):  # lo - 1 with fewer than t digits
-                continue
-            inside = leading_digits(n, b, t) == f
-            decision = window.contains(frac_log(n, b))
-            if inside != (n >= lo) or decision == (not inside) or (decision is None and n != lo):
-                ok = False
-    checks.append(("digit-roundtrip", ok))
-
-    phi = (ctx.sqrt(5) - 1) / 2
-    hit = find_m_a_delta(lambda m: m * phi, 1, 0, Fraction(1, 2), 50)
-    checks.append(("golden-ratio-first-hit", hit == 2))
-
-    return checks
+    p_table = SequenceTable(SequenceKind.PARTITION).extend(1500)
+    pl_table = SequenceTable(SequenceKind.PLANE_PARTITION).extend(2960)
+    *_, wrong, stray = checks.window_roundtrip(20260816, 300, 8)
+    phi = (interval_context(DEFAULT_PRECISION).sqrt(5) - 1) / 2
+    return [
+        ("partition-recurrence-vs-enumeration", not checks.enumeration_mismatches(p_table, 15)),
+        ("partition-ramanujan-congruences", not checks.congruence_failures(p_table)),
+        ("plane-recurrence-vs-enumeration", not checks.enumeration_mismatches(pl_table, 8)),
+        # the sieve the pl engine multiplies with, against divisor-pair enumeration
+        ("sigma2-vs-divisor-sieve", all(pl_table._sigma2[k] == sigma2(k) for k in range(1, 301))),
+        ("partition-log-envelope", not checks.envelope_violations(p_table, 4, 1500, (2, 10))),
+        ("plane-log-envelope",
+         not checks.envelope_violations(pl_table, PL_VALID_FROM, 2960, (10,))),
+        ("log-doubling-inequality", not checks.log_doubling_violations(DEFAULT_PRECISION)),
+        ("digit-roundtrip", wrong == stray == 0),
+        ("golden-ratio-first-hit",
+         find_m_a_delta(lambda m: m * phi, 1, 0, Fraction(1, 2), 50) == 2),
+    ]
 
 
 def _cmd_selftest(args) -> int:

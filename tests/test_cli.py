@@ -719,13 +719,6 @@ def test_exact_stdout(capsys, monkeypatch, selftest_checks, command, output):
         EXACT_STDOUT[command, output]
 
 
-def test_selftest(capsys):
-    code, out, _ = _run(capsys, "selftest", "--output", "text")
-    assert code == EXIT_OK
-    assert "all_pass True" in out
-    assert out.count("PASS") == 9
-
-
 def test_selftest_checks_the_sieve_the_pl_engine_uses(monkeypatch):
     # one wrong entry of the built pl table's sigma2 sieve must fail the check
     extend = SequenceTable.extend
@@ -900,10 +893,11 @@ def test_readme_cli_examples_print_what_they_show(capsys, monkeypatch):
 
 def test_import_does_not_load_the_cache_modules():
     # the cache imports hashlib when it saves or loads, not at import time;
-    # no module imports array
+    # no module imports array; the CLI imports the checks for selftest only
     done = subprocess.run(
         [sys.executable, "-c",
-         "import sys, partdigits; assert not {'hashlib', 'array'} & set(sys.modules)"],
+         "import sys, partdigits, partdigits.cli; "
+         "assert not {'hashlib', 'array', 'partdigits.checks'} & set(sys.modules)"],
         capture_output=True, text=True, env=_src_env(), timeout=120,
     )
     assert done.returncode == 0, done.stderr

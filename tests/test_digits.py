@@ -22,6 +22,7 @@ from partdigits import (
     log_value_interval,
     target_interval,
 )
+from partdigits import checks
 from partdigits.certified import DEFAULT_PRECISION, as_interval, inf, interval_context, sup
 from partdigits.digits import _log_below
 
@@ -222,24 +223,9 @@ def test_target_intervals_partition_unit_interval():
 
 
 def test_membership_round_trip_small_grid():
-    # both directions of the window characterization on a seeded sample,
-    # boundary values f*b^z and (f+1)*b^z - 1 included
-    rng = random.Random(20260816)
-    for _ in range(300):
-        b = rng.randint(2, 16)
-        t = rng.randint(2 if b == 2 else 1, 3)
-        fv = rng.randint(b ** (t - 1), b**t - 1)
-        f = DigitString(b, t, fv)
-        ti = target_interval(f)
-        z = rng.randint(0, 10)
-        lo, hi = fv * b**z, (fv + 1) * b**z - 1
-        for n in (lo, hi, rng.randint(lo, hi)):
-            assert leading_digits(n, b, t) == f
-            decision = ti.contains(frac_log(n, b))
-            assert decision is not False
-        outside = hi + 1
-        if digit_count(outside, b) >= t and leading_digits(outside, b, t) != f:
-            assert ti.contains(frac_log(outside, b)) is not True
+    # selftest's digit-roundtrip sample, (checked, decided, undecided, wrong,
+    # stray): a change to the sampling or to the window moves these counts
+    assert checks.window_roundtrip(20260816, 300, 8) == (1194, 851, 343, 0, 0)
 
 
 def test_window_width_parameter():

@@ -22,6 +22,7 @@ from partdigits import (
     brute_force_pl,
     sigma2,
 )
+from partdigits import checks
 import partdigits.engines as engines
 from partdigits.engines import _CACHE_VERSION, _EXACT, _LEAF, _TILE, _convolve, _pack, _unpack
 
@@ -30,13 +31,6 @@ ORACLE_PL_MAX = 3100
 
 P_FIRST = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
 PL_FIRST = [1, 1, 3, 6, 13, 24, 48, 86, 160, 282, 500]
-
-
-def test_partition_recurrence_matches_enumeration():
-    table = SequenceTable(SequenceKind.PARTITION)
-    table.extend(30)
-    for n in range(31):
-        assert table[n] == brute_force_p(n)
 
 
 def test_partition_table_matches_the_divisor_sum_recurrence():
@@ -56,13 +50,6 @@ def test_partition_table_matches_the_divisor_sum_recurrence():
     assert [table[n] for n in range(top + 1)] == oracle
 
 
-def test_plane_recurrence_matches_enumeration():
-    table = SequenceTable(SequenceKind.PLANE_PARTITION)
-    table.extend(10)
-    for n in range(11):
-        assert table[n] == brute_force_pl(n)
-
-
 def test_small_values_fixed():
     p = SequenceTable(SequenceKind.PARTITION).extend(10)
     pl = SequenceTable(SequenceKind.PLANE_PARTITION).extend(10)
@@ -76,14 +63,10 @@ def test_known_large_values(p_table):
 
 
 def test_partition_table_satisfies_ramanujans_congruences(p_table):
-    # p(5k+4) = 0 mod 5, p(7k+5) = 0 mod 7, p(11k+6) = 0 mod 11 at every k:
-    # an oracle over the whole table that shares nothing with the pentagonal
-    # recurrence, so an engine defect past the divisor-sum check's range
-    # almost surely breaks one of them
-    top = len(p_table) - 1
-    for modulus, residue in ((5, 4), (7, 5), (11, 6)):
-        bad = [n for n in range(residue, top + 1, modulus) if p_table[n] % modulus]
-        assert not bad, (modulus, bad[:5])
+    # an engine defect past the divisor-sum check's range almost surely
+    # breaks one of them
+    bad = checks.congruence_failures(p_table)
+    assert not bad, bad[:5]
 
 
 def test_brute_force_examples():
