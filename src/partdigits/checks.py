@@ -5,13 +5,14 @@ from __future__ import annotations
 
 import random
 
-from .asymptotics import log_p_estimate, log_pl_estimate
+from .asymptotics import PL_VALID_FROM, P_VALID_FROM, log_p_estimate, log_pl_estimate
 from .certified import inf, interval_context, sup
 from .digits import DigitString, frac_log, leading_digits, log_value_interval, target_interval
 from .engines import SequenceKind, SequenceTable, brute_force_p, brute_force_pl
 
 _ORACLE = {SequenceKind.PARTITION: brute_force_p, SequenceKind.PLANE_PARTITION: brute_force_pl}
-_ESTIMATE = {SequenceKind.PARTITION: log_p_estimate, SequenceKind.PLANE_PARTITION: log_pl_estimate}
+_ESTIMATE = {SequenceKind.PARTITION: (log_p_estimate, P_VALID_FROM),
+             SequenceKind.PLANE_PARTITION: (log_pl_estimate, PL_VALID_FROM)}
 
 
 def enumeration_mismatches(table: SequenceTable, top: int) -> list[int]:
@@ -28,10 +29,11 @@ def congruence_failures(p_table: SequenceTable) -> list[tuple[int, int]]:
             for n in range(r, len(p_table), m) if p_table[n] % m]
 
 
-def envelope_violations(table: SequenceTable, start: int, stop: int, bases) -> list:
-    """(n, b) for each n in start..stop and base b, base by base, at which the
-    kind's log estimate does not contain the certified log of table[n]."""
-    estimate = _ESTIMATE[table.kind]
+def envelope_violations(table: SequenceTable, stop: int, bases) -> list:
+    """(n, b) for each n from the kind's valid_from to stop and base b, base
+    by base, at which the kind's log estimate does not contain the certified
+    log of table[n]."""
+    estimate, start = _ESTIMATE[table.kind]
     return [(n, b) for b in bases for n in range(start, stop + 1)
             if not estimate(n, b).contains(log_value_interval(table[n], b))]
 

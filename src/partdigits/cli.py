@@ -16,7 +16,6 @@ from mpmath import mp
 from mpmath.libmp import mpf_add, mpf_shift, round_nearest
 
 from .asymptotics import (
-    PL_VALID_FROM,
     horizon_precision,
     instantiate_p,
     instantiate_pl,
@@ -395,9 +394,8 @@ def _selftest_checks():
         ("plane-recurrence-vs-enumeration", not checks.enumeration_mismatches(pl_table, 8)),
         # the sieve the pl engine multiplies with, against divisor-pair enumeration
         ("sigma2-vs-divisor-sieve", all(pl_table._sigma2[k] == sigma2(k) for k in range(1, 301))),
-        ("partition-log-envelope", not checks.envelope_violations(p_table, 4, 1500, (2, 10))),
-        ("plane-log-envelope",
-         not checks.envelope_violations(pl_table, PL_VALID_FROM, 2960, (10,))),
+        ("partition-log-envelope", not checks.envelope_violations(p_table, 1500, (2, 10))),
+        ("plane-log-envelope", not checks.envelope_violations(pl_table, 2960, (10,))),
         ("log-doubling-inequality", not checks.log_doubling_violations(DEFAULT_PRECISION)),
         ("digit-roundtrip", wrong == stray == 0),
         ("golden-ratio-first-hit",

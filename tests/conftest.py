@@ -3,9 +3,9 @@ reference main term of the growth model, the interval-object form of the
 log estimates, the mpf form of their envelope check, and the two-power
 form of the integer log enclosures.
 
-The partition table to 5e4 takes about 1.1 s and the plane-partition
-table to 2e4 about 27 s (2-core x86 VM, CPython 3.11), so neither is
-rebuilt per test.
+The partition table to 5e4 takes 1.1-1.2 s and the plane-partition table
+to 2e4 13-16 s (three runs on 2026-10-22: a 2-core Intel Xeon VM, CPython
+3.11.7, mpmath 1.3.0 without gmpy2), so neither is rebuilt per test.
 """
 from __future__ import annotations
 

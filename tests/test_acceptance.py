@@ -50,7 +50,7 @@ def test_acceptance_1_recurrences_match_enumeration():
 
 
 def test_acceptance_2_partition_log_envelope(p_table):
-    bad = checks.envelope_violations(p_table, 4, 50_000, (2, 10))
+    bad = checks.envelope_violations(p_table, 50_000, (2, 10))
     assert _report(
         2, "partition log envelope on 4..5e4, b in {2,10}", not bad,
         f"{len(bad)} violations, first {bad[0]}" if bad else "zero violations",
@@ -58,7 +58,7 @@ def test_acceptance_2_partition_log_envelope(p_table):
 
 
 def test_acceptance_3_plane_log_envelope(pl_table):
-    bad = checks.envelope_violations(pl_table, 2829, 20_000, (2, 10))
+    bad = checks.envelope_violations(pl_table, 20_000, (2, 10))
     assert _report(
         3, "plane-partition log envelope on 2829..2e4, b in {2,10}", not bad,
         f"{len(bad)} violations, first {bad[0]}" if bad else "zero violations",

@@ -7,8 +7,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from mpmath import iv, mp
-from mpmath.libmp import mpf_add
+from mpmath import mp
 
 from partdigits import (
     DigitString,
@@ -18,7 +17,6 @@ from partdigits import (
     frac_log,
     instantiate_p,
     leading_digits,
-    log_p_estimate,
     log_value_interval,
     target_interval,
 )
@@ -36,17 +34,11 @@ def test_digit_string_validation():
         DigitString(10, 1, 31)  # a digit beyond the base
     with pytest.raises(ValueError, match="5 is not a 2-digit base-10 integer"):
         DigitString(10, 2, 5)  # a leading zero
+    with pytest.raises(ValueError, match="100 is not a 2-digit base-10 integer"):
+        DigitString(10, 2, 100)  # one digit too many
     with pytest.raises(ValueError):
         DigitString(2, 1, 1)  # one-digit binary string matches everything
     assert DigitString(2, 2, 2).text() == "10"  # minimal valid binary string
-
-
-def test_value_range():
-    assert DigitString(10, 2, 10).text() == "10"
-    with pytest.raises(ValueError):
-        DigitString(10, 2, 9)
-    with pytest.raises(ValueError):
-        DigitString(10, 2, 100)
 
 
 def test_digit_string_is_its_value():
@@ -233,32 +225,6 @@ def test_window_width_parameter():
     # is about 2^-144 wide
     x = frac_log(7**333, 10)
     assert sup(x) - inf(x) < 2.0 ** (8 - 3 * DEFAULT_PRECISION // 4)
-
-
-def _certified_answers():
-    """Endpoints and answers of the certified log layer at its default precision."""
-    window = target_interval(DigitString.parse("37", 10))
-    estimate = log_p_estimate(100, 10)
-    # exactly the envelope's radius above the midpoint's lower end: inside
-    edge = mpf_add(estimate.midpoint._mpi_[0], estimate.envelope._mpi_[0], 0)
-    return (
-        log_value_interval(7**333, 10)._mpi_,
-        frac_log(7**333, 10)._mpi_,
-        window.lo._mpi_,
-        window.hi._mpi_,
-        window.delta._mpi_,
-        estimate.contains(log_value_interval(190569292, 10)),  # p(100)
-        estimate.contains(iv.make_mpf((edge, edge))),
-    )
-
-
-def test_certified_logs_ignore_the_working_precision(monkeypatch):
-    outside = _certified_answers()
-    assert outside[-2:] == (True, True)
-    for bits in (64, 512):
-        monkeypatch.setattr(iv, "prec", bits)
-        monkeypatch.setattr(mp, "prec", bits)
-        assert _certified_answers() == outside, bits
 
 
 def test_log_enclosures_refuse_a_precision_below_8_bits():

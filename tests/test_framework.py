@@ -57,17 +57,6 @@ def test_params_validation():
         assert top <= bounds.bound == bound <= top + 1, zero
 
 
-def test_compute_bounds_partition_reference():
-    params = instantiate_p(10)
-    bounds = compute_bounds(params, Fraction(1, 10))
-    assert abs(_mid(bounds.L1) - mpf("5.47134391668623965796949")) < 1e-18
-    assert abs(_mid(bounds.L2) - mpf("2716.00843696724058076744")) < 1e-15
-    assert abs(_mid(bounds.L3) - mpf("25.7853404210277791559439")) < 1e-18
-    assert abs(_mid(bounds.L4) - mpf("279.228425238413619702482")) < 1e-17
-    assert abs(_mid(bounds.D) - mpf("5.07792678374036613638938")) < 1e-18
-    assert bounds.bound == 5435
-
-
 def test_compute_bounds_plane_reference():
     params = instantiate_pl(10)
     bounds = compute_bounds(params, Fraction(1, 10))
@@ -190,11 +179,6 @@ def test_main_term_matches_estimate_midpoint(main_term):
         assert _overlaps(main_term(params, n), est.midpoint)
     with pytest.raises(ValueError):
         main_term(params, 0)
-
-
-def test_find_m_golden_ratio():
-    phi = (iv.sqrt(iv.mpf(5)) - 1) / 2
-    assert find_m_a_delta(lambda m: m * phi, 1, 0, Fraction(1, 2), 50) == 2
 
 
 def test_find_m_first_candidate_hits():

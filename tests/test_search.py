@@ -1,7 +1,6 @@
 """Leading-digit search, theorem verification, census, serialization."""
 from __future__ import annotations
 
-import json
 import random
 
 import pytest
@@ -18,7 +17,7 @@ from partdigits import (
     target_interval,
     verify_theorem,
 )
-from partdigits.cli import RESULT_FIELDS, _emit, _report_dict, _result_dict, _result_row
+from partdigits.cli import RESULT_FIELDS, _emit, _result_row
 from partdigits.digits import digit_count
 from partdigits.search import scan_runs
 
@@ -257,27 +256,12 @@ def test_verify_theorem_plane(pl_table):
     assert [r.n_min for r in report.results] == [PL_FIRST_HITS[d] for d in range(1, 10)]
 
 
-def test_verify_theorem_binary(p_table):
-    report = verify_theorem(SequenceKind.PARTITION, 2, 2, table=p_table)
-    assert [r.f.text() for r in report.results] == ["10", "11"]
-    assert [r.n_min for r in report.results] == [2, 3]
-    assert report.all_within_bound
-
-
 def test_verify_theorem_budget_preflight():
     table = SequenceTable(SequenceKind.PLANE_PARTITION, memory_budget=10_000)
     with pytest.raises(ResourceLimitError):
         verify_theorem(SequenceKind.PLANE_PARTITION, 10, 1, table=table)
     # the budget is charged entry by entry, so the table never exceeds it
     assert table.estimated_bytes <= table.memory_budget
-
-
-def test_digit_census_small(p_table):
-    counts = digit_census(SequenceKind.PARTITION, 10, 1, 10, table=p_table)
-    assert {f.text(): c for f, c in counts.items()} == {
-        "1": 3, "2": 2, "3": 2, "4": 1, "5": 1, "7": 1,
-    }
-    assert list(counts) == sorted(counts, key=lambda f: f.value)
 
 
 def test_digit_census_empty_and_accounting(p_table):
@@ -297,32 +281,6 @@ def test_digit_census_guards(p_table):
     tiny = SequenceTable(SequenceKind.PARTITION, memory_budget=10_000)
     with pytest.raises(ResourceLimitError):
         digit_census(SequenceKind.PARTITION, 10, 1, 10**6, table=tiny)
-
-
-def test_search_result_serialization(p_table):
-    r = find_min_n(SequenceKind.PARTITION, DigitString.parse("4", 10), table=p_table)
-    payload = _result_dict(r)
-    assert payload == {
-        "f": "4",
-        "kind": "p",
-        "n_min": 10,
-        "value_digit_count": 2,
-        "bound": 5470,
-        "within_bound": True,
-    }
-    json.dumps(payload)  # serializable as-is
-
-
-def test_report_serialization_omits_runtime(p_table):
-    report = verify_theorem(SequenceKind.PARTITION, 10, 1, table=p_table)
-    payload = _report_dict(report)
-    assert payload["kind"] == "p" and payload["b"] == 10 and payload["t"] == 1
-    assert payload["max_n_min"] == 60
-    assert payload["all_within_bound"] is True
-    assert len(payload["results"]) == 9
-    assert "runtime_seconds" not in payload
-    assert "table_entries" not in payload  # it depends on the table passed in
-    assert "runtime" not in json.dumps(payload)
 
 
 def test_results_csv_layout(p_table, capsys):
